@@ -42,7 +42,6 @@ from .knots import (
     alexander_fox,
     alexander_skein,
     braid_closure,
-    builtin_knot,
     connect_sum,
     figure_eight,
     load_knot_table,
@@ -582,17 +581,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--node-budget", type=int,
                         default=DEFAULT_NODE_BUDGET, metavar="N",
                         help="skein evaluation node budget")
-    parser.add_argument("--threads", type=int, default=1, metavar="K",
-                        help="accepted for compatibility; evaluation is "
-                        "sequential and deterministic either way")
     parser.add_argument("--version", action="store_true",
                         help="print the version and exit")
     args = parser.parse_args(argv)
     if args.version:
         print(__version__)
         return 0
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     if args.node_budget < 1:
         parser.error("--node-budget must be >= 1")
     if args.script == "-":

@@ -56,7 +56,6 @@ __all__ = [
     "hopf_link",
     "mirror",
     "connect_sum",
-    "builtin_knot",
     "crossing_sign",
     "writhe",
     "components",
@@ -159,11 +158,6 @@ class LinkDiagram:
             out[self.under_in(i)] = (i, "under")
             out[self.over_in(i)] = (i, "over")
         return out
-
-    def successor(self, arc: int) -> int:
-        """The arc that continues this one through its terminal crossing."""
-        i, role = self._head_slots()[arc]
-        return self.under_out(i) if role == "under" else self.over_out(i)
 
     def components(self) -> list:
         """Arc cycles, one per link component meeting a crossing.
@@ -408,22 +402,9 @@ def to_pd(diagram: LinkDiagram) -> str:
         raise InvalidPD("free loops are not expressible in PD text")
     if diagram.n_crossings == 0:
         raise InvalidPD("empty diagram has no PD text")
-    cycles = diagram.components()
-    relabel = {}
-    nxt = 1
-    for cyc in cycles:
-        for arc in cyc:
-            relabel[arc] = nxt
-            nxt += 1
-    out = diagram.relabeled(relabel)
-    order = sorted(range(out.n_crossings), key=lambda i: out.crossings[i])
-    text = " ".join(
-        "X({},{},{},{})".format(*out.crossings[i]) for i in order)
-    back = parse_pd(text)
-    reordered = LinkDiagram(
-        tuple(out.crossings[i] for i in order),
-        tuple(out.over_from_b[i] for i in order), 0)
-    if back != reordered:
+    out = canonical_form(diagram)
+    text = " ".join("X({},{},{},{})".format(*cr) for cr in out.crossings)
+    if parse_pd(text) != out:
         raise InvalidPD("diagram is not expressible in PD text")
     return text
 
@@ -601,31 +582,6 @@ def connect_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
                        d1.free_loops + d2s.free_loops).validate()
 
 
-_BUILTIN_RE = re.compile(
-    r"\s*([a-z_0-9]+)\s*(?:\(\s*(-?\d+)\s*(?:,\s*(-?\d+)\s*)?\))?\s*\Z")
-
-
-def builtin_knot(name: str) -> LinkDiagram:
-    """Named diagrams: unknot, trefoil, figure8, hopf, twist(n), torus(p,q)."""
-    m = _BUILTIN_RE.match(name)
-    if not m:
-        raise InvalidParameters(f"unreadable knot name {name!r}")
-    base, x, y = m.group(1), m.group(2), m.group(3)
-    if base == "unknot" and x is None:
-        return unknot()
-    if base == "trefoil" and x is None:
-        return trefoil()
-    if base in ("figure8", "figure_eight") and x is None:
-        return figure_eight()
-    if base == "hopf" and x is None:
-        return hopf_link()
-    if base == "twist" and x is not None and y is None:
-        return twist_knot(int(x))
-    if base == "torus" and x is not None and y is not None:
-        return torus_knot(int(x), int(y))
-    raise InvalidParameters(f"unknown builtin knot {name!r}")
-
-
 # ---- module-level aliases for the local moves ----
 
 def crossing_sign(diagram: LinkDiagram, i: int) -> int:
@@ -654,110 +610,24 @@ def smooth_crossing(diagram: LinkDiagram, i: int) -> LinkDiagram:
 
 # ---- canonical form ----
 
-def _trace_candidate(diagram: LinkDiagram, start: int):
-    """Deterministic relabeling reached by walking from the given start arc.
-
-    Returns the sorted, relabeled crossing tuples (with direction flags) or
-    None when a tie makes the continuation ambiguous; ambiguous ties are
-    resolved by trying every tied continuation at the caller.
-    """
-    heads = diagram._head_slots()
-    new_label: dict = {}
-    pending = [start]
-    result_cycles = 0
-    while pending:
-        cur = pending.pop()
-        while cur not in new_label:
-            new_label[cur] = len(new_label) + 1
-            i, role = heads[cur]
-            cur = diagram.under_out(i) if role == "under" else diagram.over_out(i)
-        result_cycles += 1
-        if len(new_label) == len(heads):
-            break
-        # next component: the unlabeled arc whose crossings look minimal
-        # through already-assigned labels
-        slots_of: dict = {}
-        for j, cr in enumerate(diagram.crossings):
-            for s, arc in enumerate(cr):
-                slots_of.setdefault(arc, []).append((j, s))
-        best = None
-        best_arcs = []
-        for arc in heads:
-            if arc in new_label:
-                continue
-            sig = sorted(
-                (tuple(sorted(new_label.get(x, 10 ** 9)
-                              for x in diagram.crossings[j])), s)
-                for j, s in slots_of[arc])
-            key = tuple(sig)
-            if best is None or key < best:
-                best = key
-                best_arcs = [arc]
-            elif key == best:
-                best_arcs.append(arc)
-        if len(best_arcs) > 1:
-            return None, best_arcs, new_label
-        pending.append(best_arcs[0])
-    relabeled = sorted(
-        (tuple(new_label[x] for x in cr), flag)
-        for cr, flag in zip(diagram.crossings, diagram.over_from_b))
-    return relabeled, None, None
-
-
-def _candidates_from(diagram: LinkDiagram, start: int):
-    out, tied, labels = _trace_candidate(diagram, start)
-    if out is not None:
-        yield out
-        return
-    # rare tie: fork the walk on each tied arc by relabeling it ahead of time
-    for arc in tied:
-        forced = dict(labels)
-        # restart is simpler than resuming: relabel the diagram so the tied
-        # arc compares smallest among the unlabeled ones, then re-trace
-        yield from _candidates_from_forced(diagram, start, arc)
-
-
-def _candidates_from_forced(diagram: LinkDiagram, start: int, forced_arc: int):
-    # walk as in _trace_candidate but break exactly one tie by hand
-    heads = diagram._head_slots()
-    new_label: dict = {}
-    pending = [start]
-    used_force = False
-    while pending:
-        cur = pending.pop()
-        while cur not in new_label:
-            new_label[cur] = len(new_label) + 1
-            i, role = heads[cur]
-            cur = diagram.under_out(i) if role == "under" else diagram.over_out(i)
-        if len(new_label) == len(heads):
-            break
-        if not used_force and forced_arc not in new_label:
-            pending.append(forced_arc)
-            used_force = True
-            continue
-        remaining = sorted(a for a in heads if a not in new_label)
-        if not remaining:
-            break
-        pending.append(remaining[0])
-    relabeled = sorted(
-        (tuple(new_label[x] for x in cr), flag)
-        for cr, flag in zip(diagram.crossings, diagram.over_from_b))
-    yield relabeled
-
-
 def canonical_form(diagram: LinkDiagram) -> LinkDiagram:
-    """Relabel to the minimum over all traversal starts; an isomorphism
-    invariant of connected diagrams (used as the memo key)."""
-    if diagram.n_crossings == 0:
-        return LinkDiagram((), (), diagram.free_loops)
-    best = None
-    for start in diagram.arcs():
-        for cand in _candidates_from(diagram, start):
-            if best is None or cand < best:
-                best = cand
-    crossings = tuple(cr for cr, _ in best)
-    flags = tuple(flag for _, flag in best)
-    return LinkDiagram(crossings, flags, diagram.free_loops)
+    """Label normal form: arcs renumbered 1, 2, ... along each component in
+    the order components() lists them, crossings sorted by (arcs, flag).
+
+    The result is a relabeling of the diagram, so it has the same Alexander
+    polynomial; the skein engine uses it as its memo key, and to_pd prints
+    it. It is not an isomorphism invariant: the same diagram under other
+    labels may get a different form.
+    """
+    relabel: dict = {}
+    for cyc in diagram.components():
+        for arc in cyc:
+            relabel[arc] = len(relabel) + 1
+    out = diagram.relabeled(relabel)
+    ordered = sorted(zip(out.crossings, out.over_from_b))
+    return LinkDiagram(tuple(cr for cr, _ in ordered),
+                       tuple(flag for _, flag in ordered),
+                       diagram.free_loops)
 
 
 # ---- skein engine ----
@@ -810,13 +680,12 @@ def _first_violation(diagram: LinkDiagram) -> Optional[int]:
 
 
 class _SkeinState:
-    __slots__ = ("memo", "budget", "used", "record")
+    __slots__ = ("memo", "budget", "used")
 
-    def __init__(self, memo, budget, record):
+    def __init__(self, memo, budget):
         self.memo = memo if memo is not None else {}
         self.budget = budget
         self.used = 0
-        self.record = record
 
 
 def _skein_eval(diagram: LinkDiagram, state: _SkeinState) -> ResolutionNode:
@@ -834,15 +703,16 @@ def _skein_eval(diagram: LinkDiagram, state: _SkeinState) -> ResolutionNode:
     if d.is_split_as_drawn():
         return ResolutionNode(d, "split", LaurentPoly.zero(SKEIN_BASIS))
 
-    # the memo key is label-independent, but the walk below runs on d's own
-    # labels: switching preserves them, so the first violation moves strictly
-    # later and the resolution terminates
+    # the memo key is a relabeling of d, so equal keys mean diagrams that
+    # differ only by labels and have the same polynomial. The walk below runs
+    # on d's own labels: switching preserves them, so the first violation
+    # moves strictly later and the resolution terminates
     ckey = canonical_form(d)
     key = (ckey.crossings, ckey.over_from_b, ckey.free_loops)
     hit = state.memo.get(key)
     if hit is not None:
-        # when recording, shared subtrees make the "tree" a DAG; the replay
-        # walk tolerates revisits
+        # a hit shares the subtree, so skein_resolution returns a DAG and
+        # internal_nodes may yield a node more than once
         return hit
 
     violation = _first_violation(d)
@@ -874,14 +744,14 @@ def alexander_skein(diagram: LinkDiagram, *,
     half-integer exponents on even-component links. The Conway normalization
     is built in: the unknot gives 1 and split diagrams give 0.
     """
-    state = _SkeinState(memo, node_budget, record=False)
+    state = _SkeinState(memo, node_budget)
     return _skein_eval(diagram, state).value
 
 
 def skein_resolution(diagram: LinkDiagram, *,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> ResolutionNode:
     """Full resolution tree for replaying the skein identity node by node."""
-    state = _SkeinState(None, node_budget, record=True)
+    state = _SkeinState(None, node_budget)
     return _skein_eval(diagram, state)
 
 

@@ -125,6 +125,17 @@ class SWInvariant:
         return SWInvariant(q, LaurentPoly.one(self.basis), self.kind,
                            self.simple_type)
 
+    def reduced_if_exact(self) -> "SWInvariant":
+        """The reduced invariant when the denominator divides exactly, else
+        self (the pair is kept)."""
+        if self.den.is_one():
+            return self
+        q = try_exact_div(self.num, self.den)
+        if q is None:
+            return self
+        return SWInvariant(q, LaurentPoly.one(self.basis), self.kind,
+                           self.simple_type)
+
     def value(self) -> LaurentPoly:
         """The invariant as a single polynomial (reducing if needed)."""
         return self.reduced().num
@@ -200,13 +211,8 @@ def glue(a: SWInvariant, b: SWInvariant,
     out = SWInvariant(a.num * b.num, a.den * b.den, result_kind,
                       a.simple_type and b.simple_type)
     if result_kind == "closed":
-        out = out.reduced()
-    else:
-        reduced = try_exact_div(out.num, out.den)
-        if reduced is not None:
-            out = SWInvariant(reduced, LaurentPoly.one(out.basis),
-                              result_kind, out.simple_type)
-    return out
+        return out.reduced()
+    return out.reduced_if_exact()
 
 
 def blowup_formula(sw: SWInvariant, names: Sequence[str]) -> SWInvariant:
@@ -273,13 +279,8 @@ def log_transform(sw: SWInvariant, r: int, var: str = "t") -> SWInvariant:
     spread = LaurentPoly.zero(sw.basis)
     for j in range(r):
         spread = spread + v ** (r - 1 - 2 * j)
-    out = SWInvariant(num * spread, den, sw.kind, sw.simple_type)
-    if not out.den.is_one():
-        reduced = try_exact_div(out.num, out.den)
-        if reduced is not None:
-            out = SWInvariant(reduced, LaurentPoly.one(sw.basis), sw.kind,
-                              sw.simple_type)
-    return out
+    return SWInvariant(num * spread, den, sw.kind,
+                       sw.simple_type).reduced_if_exact()
 
 
 def double_log_transform(n: int, r: int, s: int) -> SWInvariant:

@@ -164,8 +164,3 @@ class TestOutputModes:
     def test_node_budget_validation(self):
         out = run_cli(["--node-budget", "0", "-"], stdin="")
         assert out.returncode == 2
-
-    def test_threads_flag_accepted(self):
-        src = "knot K = trefoil\nassert alexander_equal(K)\n"
-        out = run_cli(["--threads", "4", "-"], stdin=src)
-        assert out.returncode == 0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from fractions import Fraction
 
@@ -124,6 +126,39 @@ FROZEN = [
 ]
 
 
+def _random_closed_braid(rng, strands, crossings, components):
+    """Seeded closed braid with the given component count that does not
+    split as drawn. The closure's component count is the number of cycles
+    of the braid permutation, so the word length must have the parity of
+    strands - components or no word qualifies."""
+    assert (crossings - strands + components) % 2 == 0
+    while True:
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(crossings)]
+        d = braid_closure(word, strands)
+        if d.component_count() == components and not d.is_split_as_drawn():
+            return d
+
+
+def _seeded_braids():
+    rng = random.Random(20061030)
+    out = []
+    for strands in (3, 4, 5):
+        for crossings in (8, 9, 10, 11, 12, 13):
+            if (crossings - strands + 1) % 2 == 0:
+                out.append((f"knot_s{strands}_c{crossings}",
+                            _random_closed_braid(rng, strands, crossings, 1)))
+    for strands, crossings, components in ((3, 9, 2), (4, 8, 2), (3, 8, 3),
+                                           (4, 9, 3)):
+        out.append((f"link{components}_s{strands}_c{crossings}",
+                    _random_closed_braid(rng, strands, crossings,
+                                         components)))
+    return out
+
+
+SEEDED_BRAIDS = _seeded_braids()
+
+
 class TestAlexanderSkein:
     @pytest.mark.parametrize("name,make,expect",
                              FROZEN, ids=[f[0] for f in FROZEN])
@@ -171,6 +206,21 @@ class TestAlexanderSkein:
         assert memo
         b = alexander_skein(twist_knot(3), memo=memo)
         assert a == b
+
+    def test_memo_key_soundness_on_seeded_braids(self):
+        # the memo key is a label normal form, not an invariant: relabeled
+        # inputs and a memo shared across diagrams must not change a value
+        rng = random.Random(7)
+        shared = {}
+        for name, d in SEEDED_BRAIDS:
+            arcs = d.arcs()
+            permuted = d.relabeled(dict(zip(arcs, rng.sample(arcs, len(arcs)))))
+            value = alexander_skein(d)
+            assert alexander_skein(permuted) == value, name
+            assert alexander_skein(d, memo=shared) == value, name
+            assert alexander_skein(permuted, memo=shared) == value, name
+            if d.component_count() == 1:
+                assert alexander_fox(d) == value, name
 
 
 class TestFoxEngine:
@@ -229,9 +279,17 @@ class TestResolution:
 class TestCanonicalForm:
     def test_relabeling_invariance(self):
         d = parse_pd(TREFOIL_PD)
-        # same knot, arcs started from a different point on the circle
+        # the same crossings listed in another order
         shifted = parse_pd("X(3,6,4,1) X(5,2,6,3) X(1,4,2,5)")
         assert canonical_form(d) == canonical_form(shifted)
 
     def test_distinguishes_mirror(self):
         assert canonical_form(trefoil()) != canonical_form(mirror(trefoil()))
+
+    @pytest.mark.parametrize("name,d", SEEDED_BRAIDS,
+                             ids=[b[0] for b in SEEDED_BRAIDS])
+    def test_is_a_relabeling(self, name, d):
+        c = canonical_form(d)
+        assert c.component_count() == d.component_count()
+        assert sorted(c.over_from_b) == sorted(d.over_from_b)
+        assert to_pd(c) == to_pd(d)
