@@ -609,3 +609,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # last resort for the exit contract: a defect (such as the recursion
+        # limit on a deep build tree) is an error, not a failed assert
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2

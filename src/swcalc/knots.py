@@ -21,8 +21,9 @@ Diagram conventions
 Both Alexander engines return the symmetric normalization with value +1 at
 t = 1 (for knots). They share no code beyond the polynomial type: the skein
 engine resolves diagrams against descending form, the Fox engine runs
-Wirtinger calculus and an exact determinant. Keeping the routes independent
-is the point; do not "simplify" one in terms of the other.
+Wirtinger calculus and a fraction-free (Bareiss) determinant, polynomial
+time in the crossing count. Keeping the routes independent is the point; do
+not "simplify" one in terms of the other.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     ParseError,
     ResourceLimit,
 )
-from .laurent import LaurentPoly, VarBasis
+from .laurent import LaurentPoly, VarBasis, exact_div
 
 __all__ = [
     "LinkDiagram",
@@ -610,17 +611,19 @@ def smooth_crossing(diagram: LinkDiagram, i: int) -> LinkDiagram:
 
 # ---- canonical form ----
 
-def canonical_form(diagram: LinkDiagram) -> LinkDiagram:
+def canonical_form(diagram: LinkDiagram, *,
+                   comps: Optional[list] = None) -> LinkDiagram:
     """Label normal form: arcs renumbered 1, 2, ... along each component in
     the order components() lists them, crossings sorted by (arcs, flag).
 
     The result is a relabeling of the diagram, so it has the same Alexander
     polynomial; the skein engine uses it as its memo key, and to_pd prints
     it. It is not an isomorphism invariant: the same diagram under other
-    labels may get a different form.
+    labels may get a different form. A caller that already holds
+    diagram.components() may pass it as comps to skip that walk.
     """
     relabel: dict = {}
-    for cyc in diagram.components():
+    for cyc in diagram.components() if comps is None else comps:
         for arc in cyc:
             relabel[arc] = len(relabel) + 1
     out = diagram.relabeled(relabel)
@@ -661,12 +664,13 @@ def _skein_z() -> LaurentPoly:
         SKEIN_BASIS, [({"t": Fraction(1, 2)}, 1), ({"t": Fraction(-1, 2)}, -1)])
 
 
-def _first_violation(diagram: LinkDiagram) -> Optional[int]:
-    """Index of the first crossing met under-first on the canonical walk."""
+def _first_violation(diagram: LinkDiagram, comps: list) -> Optional[int]:
+    """Index of the first crossing met under-first on the canonical walk
+    along comps, the diagram's components()."""
     heads = diagram._head_slots()
     visited = set()
     seen_arcs = set()
-    for cyc in diagram.components():
+    for cyc in comps:
         for arc in cyc:
             if arc in seen_arcs:
                 continue
@@ -706,8 +710,10 @@ def _skein_eval(diagram: LinkDiagram, state: _SkeinState) -> ResolutionNode:
     # the memo key is a relabeling of d, so equal keys mean diagrams that
     # differ only by labels and have the same polynomial. The walk below runs
     # on d's own labels: switching preserves them, so the first violation
-    # moves strictly later and the resolution terminates
-    ckey = canonical_form(d)
+    # moves strictly later and the resolution terminates. The key and the
+    # walk share one components() call
+    comps = d.components()
+    ckey = canonical_form(d, comps=comps)
     key = (ckey.crossings, ckey.over_from_b, ckey.free_loops)
     hit = state.memo.get(key)
     if hit is not None:
@@ -715,13 +721,12 @@ def _skein_eval(diagram: LinkDiagram, state: _SkeinState) -> ResolutionNode:
         # internal_nodes may yield a node more than once
         return hit
 
-    violation = _first_violation(d)
+    violation = _first_violation(d, comps)
     if violation is None:
-        value = (LaurentPoly.one(SKEIN_BASIS)
-                 if d.component_count() == 1
+        knot = len(comps) + d.free_loops == 1
+        value = (LaurentPoly.one(SKEIN_BASIS) if knot
                  else LaurentPoly.zero(SKEIN_BASIS))
-        node = ResolutionNode(d, "descending" if d.component_count() == 1
-                              else "split", value)
+        node = ResolutionNode(d, "descending" if knot else "split", value)
         state.memo[key] = node
         return node
 
@@ -804,26 +809,33 @@ def _fox_matrix(diagram: LinkDiagram):
     return rows, len(reps)
 
 
-def _det(rows: list, cols: tuple, zero: LaurentPoly, memo: dict) -> LaurentPoly:
-    """Exact determinant by expansion along rows, memoized on column sets."""
-    if not cols:
-        return zero + 1
-    key = cols
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    row = rows[len(rows) - len(cols)]
-    total = zero
-    for k, j in enumerate(cols):
-        entry = row.get(j)
-        if entry is None or entry.is_zero():
-            continue
-        rest = cols[:k] + cols[k + 1:]
-        minor = _det(rows, rest, zero, memo)
-        term = entry * minor
-        total = total + term if k % 2 == 0 else total - term
-    memo[key] = total
-    return total
+def _det(rows: list, cols: Sequence[int], zero: LaurentPoly) -> LaurentPoly:
+    """Determinant of the square matrix rows x cols (rows are sparse
+    {column: entry} dicts) by fraction-free Bareiss elimination: polynomial
+    time, and each division by the previous pivot is exact by Sylvester's
+    identity, so every entry stays in Z[t^+-1]."""
+    m = [[row.get(j, zero) for j in cols] for row in rows]
+    n = len(m)
+    sign, prev = 1, zero + 1
+    for k in range(n):
+        swap = next((i for i in range(k, n) if m[i][k]), None)
+        if swap is None:
+            return zero
+        if swap != k:
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                entry = pivot * row[j] if row[j] else zero
+                if lead and pivot_row[j]:
+                    entry -= lead * pivot_row[j]
+                # step 0 divides by 1: skip it
+                row[j] = exact_div(entry, prev) if entry and k else entry
+        prev = pivot
+    return prev if sign > 0 else -prev
 
 
 def alexander_fox(diagram: LinkDiagram) -> LaurentPoly:
@@ -831,8 +843,9 @@ def alexander_fox(diagram: LinkDiagram) -> LaurentPoly:
     presentation, symmetrized and normalized to value 1 at t = 1.
 
     This route is deliberately independent of the skein engine: no kink
-    reduction, no canonical relabeling, just the presentation matrix and an
-    exact determinant.
+    reduction, no canonical relabeling, just the presentation matrix and its
+    Bareiss determinant, so it runs in polynomial time where the skein tree
+    grows exponentially with the crossing count.
     """
     if diagram.component_count() != 1:
         raise NotAKnot("Fox calculus route requires a one-component diagram")
@@ -843,8 +856,7 @@ def alexander_fox(diagram: LinkDiagram) -> LaurentPoly:
     # delete the last row and the last generator column
     rows = rows[:-1]
     cols = tuple(range(n_gens - 1))
-    zero = LaurentPoly.zero(SKEIN_BASIS)
-    det = _det(rows, cols, zero, {})
+    det = _det(rows, cols, LaurentPoly.zero(SKEIN_BASIS))
     if det.is_zero():
         raise InvalidPD("Wirtinger determinant vanished; diagram is not valid")
 

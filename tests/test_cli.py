@@ -164,3 +164,15 @@ class TestOutputModes:
     def test_node_budget_validation(self):
         out = run_cli(["--node-budget", "0", "-"], stdin="")
         assert out.returncode == 2
+
+    def test_internal_error_exits_two_without_traceback(self):
+        # a 1200-deep blowup chain overflows the recursive walker; the
+        # defect must still honour the exit contract (1 is for asserts)
+        lines = ["manifold m0 = E(2)"]
+        lines += [f"manifold m{i} = blowup(m{i - 1}, 1)"
+                  for i in range(1, 1200)]
+        lines.append("sw s = sw(m1199)")
+        out = run_cli(["-"], stdin="\n".join(lines) + "\n")
+        assert out.returncode == 2
+        assert out.stderr.startswith("error")
+        assert "Traceback" not in out.stderr

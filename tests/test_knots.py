@@ -3,12 +3,13 @@ import random
 import pytest
 from fractions import Fraction
 
-from swcalc.knots import (LinkDiagram, alexander_fox, alexander_skein,
-                          braid_closure, canonical_form, connect_sum,
-                          figure_eight, hopf_link, load_knot_table, mirror,
-                          parse_pd, pretzel, skein_resolution, to_pd,
-                          torus_knot, trefoil, twist_knot, unknot)
-from swcalc.laurent import LaurentPoly, VarBasis, parse_poly
+from swcalc.knots import (LinkDiagram, _det, _fox_matrix, alexander_fox,
+                          alexander_skein, braid_closure, canonical_form,
+                          connect_sum, figure_eight, hopf_link,
+                          load_knot_table, mirror, parse_pd, pretzel,
+                          skein_resolution, to_pd, torus_knot, trefoil,
+                          twist_knot, unknot)
+from swcalc.laurent import LaurentPoly, VarBasis, is_symmetric, parse_poly
 from swcalc.errors import (InvalidPD, NotAKnot, ParseError, ResourceLimit,
                            InvalidParameters)
 
@@ -239,6 +240,84 @@ class TestFoxEngine:
         for name, diagram in table.items():
             assert diagram.n_crossings <= 9, name
             assert alexander_skein(diagram) == alexander_fox(diagram), name
+
+
+def _dense_det(matrix):
+    """_det of a dense matrix of polynomial texts."""
+    rows = [{j: tp(entry) for j, entry in enumerate(row)} for row in matrix]
+    return _det(rows, range(len(matrix)), LaurentPoly.zero(T))
+
+
+class TestDeterminant:
+    def test_empty_matrix_is_one(self):
+        assert _det([], (), LaurentPoly.zero(T)) == LaurentPoly.one(T)
+
+    def test_one_by_one(self):
+        assert _dense_det([["2t - 1 + t^-1"]]) == tp("2t - 1 + t^-1")
+        assert _dense_det([["0"]]).is_zero()
+
+    def test_swap_at_first_step(self):
+        # [[0, t], [1 - t, 1]]: zero pivot, one swap flips the sign
+        assert _dense_det([["0", "t"], ["1 - t", "1"]]) == tp("t^2 - t")
+
+    def test_swap_at_middle_step(self):
+        # step 0 leaves a zero at (1, 1) and a nonzero below it
+        m = [["t", "t", "1"],
+             ["1", "1", "t^-1 + 1"],
+             ["1", "2", "3"]]
+        assert _dense_det(m) == tp("-t")
+
+    def test_two_swaps_keep_the_sign(self):
+        m = [["0", "1", "0"],
+             ["0", "0", "t"],
+             ["t^-1", "0", "0"]]
+        assert _dense_det(m) == tp("1")
+
+    def test_singular_matrices_vanish(self):
+        # a zero column at step 0, a zero pivot column after step 0, and
+        # two rows that differ by the unit t^-1 (no zero pivot column)
+        assert _dense_det([["0", "1"], ["0", "t"]]).is_zero()
+        assert _dense_det([["1", "1", "1"],
+                           ["1", "1", "2"],
+                           ["2", "2", "3"]]).is_zero()
+        assert _dense_det([["1 - t", "t", "-1"],
+                           ["t^-1 - 1", "1", "-t^-1"],
+                           ["1", "0", "2"]]).is_zero()
+
+    @pytest.mark.parametrize("strands,crossings", [(3, 10), (4, 15), (4, 19),
+                                                   (5, 20)])
+    def test_matches_sympy_on_fox_matrices(self, strands, crossings):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(crossings * 100 + strands)
+        d = _random_closed_braid(rng, strands, crossings, 1)
+        rows, n_gens = _fox_matrix(d)
+        rows, cols = rows[:-1], range(n_gens - 1)
+        zero = LaurentPoly.zero(T)
+        t = sympy.Symbol("t")
+
+        def to_sympy(p):
+            return sum(c * t ** e.get("t", 0) for e, c in p.terms())
+
+        # sympy eliminates with fractions over Q(t), a different route
+        expected = sympy.Matrix([[to_sympy(row.get(j, zero)) for j in cols]
+                                 for row in rows]).det(method="domain-ge")
+        assert sympy.expand(expected - to_sympy(_det(rows, cols, zero))) == 0
+
+    def test_six_strand_forty_one_crossing_braid(self):
+        # a size where an exponential determinant takes tens of seconds; Fox
+        # only, as the skein tree is exponential here too
+        d = _random_closed_braid(random.Random(641), 6, 41, 1)
+        delta = alexander_fox(d)
+        # frozen from a Laplace cofactor expansion of the same matrix
+        assert delta == tp("-t^8 + 9t^7 - 37t^6 + 92t^5 - 160t^4 + 214t^3"
+                           " - 233t^2 + 223t - 213 + 223t^-1 - 233t^-2"
+                           " + 214t^-3 - 160t^-4 + 92t^-5 - 37t^-6 + 9t^-7"
+                           " - t^-8")
+        assert is_symmetric(delta)
+        assert delta.eval_at_one() == 1
+        # |Delta(-1)| is the knot determinant, always odd
+        at_minus_one = sum(c * (-1) ** e.get("t", 0) for e, c in delta.terms())
+        assert at_minus_one % 2 == 1
 
 
 class TestResolution:

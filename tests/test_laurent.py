@@ -24,6 +24,10 @@ def _poly_strategy(basis):
 
 
 polys_t = _poly_strategy(T)
+int_polys_t = st.dictionaries(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-9, max_value=9), max_size=5).map(
+        lambda d: tpoly(*d.items()))
 polys_et = _poly_strategy(ET)
 
 
@@ -172,6 +176,36 @@ class TestDivision:
         if b.is_zero():
             return
         assert exact_div(a * b, b) == a
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_polys_t, int_polys_t, int_polys_t)
+    def test_agrees_with_sympy_div(self, a, b, c):
+        # the Bareiss determinant divides through exact_div at every step:
+        # it must return the cofactor of a product and raise exactly when
+        # sympy's division over Z leaves a remainder
+        sympy = pytest.importorskip("sympy")
+        if b.is_zero():
+            return
+        assert exact_div(a * b, b) == a
+        num = a * b + c
+        if num.is_zero():
+            assert exact_div(num, b).is_zero()
+            return
+        t = sympy.Symbol("t")
+
+        def to_poly(p):
+            # multiplying by a power of t (a unit) changes no divisibility
+            low = p.min_exponent("t")
+            return sympy.Poly(sum(coeff * t ** (exps.get("t", 0) - low)
+                                  for exps, coeff in p.terms()), t,
+                              domain=sympy.ZZ)
+
+        _, rem = sympy.div(to_poly(num), to_poly(b), domain=sympy.ZZ)
+        if rem.is_zero:
+            assert exact_div(num, b) * b == num
+        else:
+            with pytest.raises(InexactDivision):
+                exact_div(num, b)
 
     def test_divide_by_zero(self):
         with pytest.raises(DivisionByZero):
