@@ -3,15 +3,15 @@ calculator.
 
 A script is a sequence of statements, one per line ('#' starts a comment):
 
-    knot K = trefoil | figure8 | unknot | twist(n) | torus(p,q)
+    knot K = unknot | trefoil | figure8 | twist(n) | torus(p,q)
              | pretzel(q1,q2,q3) | mirror(K) | connect_sum(K1,K2)
              | table(entry) | pd: X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)
              | braid: 1 1 1
     manifold M = CP2 | CP2bar | S2xS2 | E(n) | H(m,n)
-             | connected_sum(A,B) | blowup(A,k) | fiber_sum(A,B[,LA[,LB]])
+             | connected_sum(A,B) | blowup(A[,k]) | fiber_sum(A,B[,LA[,LB]])
              | torus_surgery(A,L,p,q,r) | knot_surgery(A,L,K)
              | rational_blowdown(A,p[,even|odd]) | reverse(A)
-    sw S = sw(M) | elliptic(n) | blowup_formula(S,e1,...)
+    sw S = sw(M) | elliptic(n) | blowup_formula(S,e1,e2,...)
              | knot_surgery_formula(S,K) | log_transform(S,r)
              | double_log_transform(n,r,s) | relative(S) | e1_rel | t2d2
              | glue(S1,S2) | descend(S,CFG) | e1_twist_fixture(n)
@@ -20,6 +20,11 @@ A script is a sequence of statements, one per line ('#' starts a comment):
     assert [not] homeo(A,B) | sw_equal(S1,S2) | sw_is(S, poly)
              | alexander_is(K, poly) | alexander_equal(K1[,K2])
     emit geography N [> path]
+
+An argument is a name defined earlier (no nesting), an integer, a bare word
+(a label such as F, an exceptional class name, even|odd) or a polynomial.
+An operation checks its argument count, then its arguments left to right,
+and reports the first bad one.
 
 Exit status: 0 on success, 1 on a failed assertion (both sides are
 printed), 2 on any script or evaluation error (reported with line number).
@@ -125,12 +130,7 @@ def _parse_call(text: str) -> Tuple[str, List[str]]:
     if not m:
         raise KindError(f"cannot parse expression {text.strip()!r}")
     head, inner = m.group(1), m.group(2)
-    if inner is None:
-        return head, []
-    args = _split_args(inner)
-    if args == [""]:
-        args = []
-    return head, args
+    return head, _split_args(inner or "")
 
 
 def _want_int(arg: str, what: str) -> int:
@@ -145,16 +145,120 @@ def _want_arity(op: str, args: List[str], *counts: int) -> None:
         raise KindError(f"{op} takes {want} argument(s), got {len(args)}")
 
 
+# family -> op -> (argument kinds, function). A kind is a defined name of
+# that kind (knot, manifold, sw, config), "int <what>", "word" (taken as
+# written) or "parity" (even|odd -> 0|1); a leading "?" marks an optional
+# argument, and "*word <usage>" one or more trailing words, too few of which
+# is reported as "<op> takes <usage>". The function gets the interpreter and
+# the converted arguments. Each is a lambda so that the swcalc function it
+# calls is looked up in this module's globals at call time: a wrapper put
+# there (as bench/spans.py does) then sees every call.
+_OPS = {
+    "knot": {
+        "unknot": ((), lambda it: unknot()),
+        "trefoil": ((), lambda it: trefoil()),
+        "figure8": ((), lambda it: figure_eight()),
+        "twist": (("int twist index",), lambda it, n: twist_knot(n)),
+        "torus": (("int p", "int q"), lambda it, p, q: torus_knot(p, q)),
+        "pretzel": (("int pretzel twist",) * 3,
+                    lambda it, a, b, c: pretzel(a, b, c)),
+        "mirror": (("knot",), lambda it, k: mirror(k)),
+        "connect_sum": (("knot", "knot"), lambda it, a, b: connect_sum(a, b)),
+        "table": (("word",), lambda it, entry: it._table_knot(entry)),
+    },
+    "manifold": {
+        "CP2": ((), lambda it: cp2()),
+        "CP2bar": ((), lambda it: cp2_bar()),
+        "S2xS2": ((), lambda it: s2xs2()),
+        "E": (("int elliptic index",), lambda it, n: elliptic(n)),
+        "H": (("int m", "int n"), lambda it, m, n: horikawa(m, n)),
+        "connected_sum": (("manifold", "manifold"),
+                          lambda it, a, b: connected_sum(a, b)),
+        "blowup": (("manifold", "?int blowup count"),
+                   lambda it, a, k=1: blowup(a, k)),
+        "fiber_sum": (("manifold", "manifold", "?word", "?word"),
+                      lambda it, a, b, la="F", lb=None:
+                      fiber_sum(a, b, la, lb)),
+        "torus_surgery": (("manifold", "word")
+                          + ("int surgery coefficient",) * 3,
+                          lambda it, a, label, p, q, r:
+                          torus_surgery(a, label, p, q, r)),
+        "knot_surgery": (("manifold", "word", "knot"),
+                         lambda it, a, label, k: knot_surgery(a, label, k)),
+        "rational_blowdown": (("manifold", "int p", "?parity"),
+                              lambda it, a, p, parity=None:
+                              rational_blowdown(a, p, parity)),
+        "reverse": (("manifold",), lambda it, a: reverse_orientation(a)),
+    },
+    "sw": {
+        "sw": (("manifold",),
+               lambda it, m: from_manifold(m, node_budget=it.node_budget)),
+        "elliptic": (("int elliptic index",), lambda it, n: sw_elliptic(n)),
+        "blowup_formula": (("sw", "*word a value and names"),
+                           lambda it, s, *names: blowup_formula(s, names)),
+        "knot_surgery_formula": (("sw", "knot"),
+                                 lambda it, s, k:
+                                 knot_surgery_formula(s, it._alexander(k))),
+        "log_transform": (("sw", "int multiplicity"),
+                          lambda it, s, r: log_transform(s, r)),
+        "double_log_transform": (("int parameter",) * 3,
+                                 lambda it, n, r, q:
+                                 double_log_transform(n, r, q)),
+        "relative": (("sw",), lambda it, s: relative_from_closed(s)),
+        "e1_rel": ((), lambda it: e1_relative()),
+        "t2d2": ((), lambda it: t2d2_piece()),
+        "glue": (("sw", "sw"), lambda it, a, b: glue(a, b)),
+        "descend": (("sw", "config"), lambda it, s, c: descend(s, c)),
+        "e1_twist_fixture": (("int twist index",),
+                             lambda it, n:
+                             SWInvariant.closed(sw_e1_twist_knot(n))),
+    },
+    # an assertion gives (holds, left side, right side)
+    "assert": {
+        "homeo": (("manifold", "manifold"), lambda it, a, b: _homeo(a, b)),
+        "sw_equal": (("sw", "sw"),
+                     lambda it, a, b: _compare(a.value(), b.value())),
+        "sw_is": (("sw", "word"),
+                  lambda it, s, p: _compare(s.value(), parse_poly(p))),
+        "alexander_is": (("knot", "word"),
+                         lambda it, k, p:
+                         _compare(it._alexander(k), parse_poly(p))),
+        # with one knot, the skein engine against the Fox engine
+        "alexander_equal": (("knot", "?knot"),
+                            lambda it, k, k2=None: _compare(
+                                it._alexander(k),
+                                alexander_fox(k) if k2 is None
+                                else it._alexander(k2))),
+    },
+}
+
+# what errors call an unknown op of each family and a name of each kind
+_UNKNOWN = {"knot": "knot operation", "manifold": "manifold operation",
+            "sw": "sw operation", "assert": "assertion"}
+_NAMED = {"knot": "knot", "manifold": "manifold", "sw": "sw value",
+          "config": "config"}
+
+
+def _compare(a: LaurentPoly, b: LaurentPoly) -> Tuple[bool, str, str]:
+    """Whether two polynomials agree over the union of their bases, and
+    both as printed."""
+    union = VarBasis(tuple(sorted(set(a.basis) | set(b.basis))))
+    return a.extended(union) == b.extended(union), str(a), str(b)
+
+
+def _homeo(a: ManifoldDesc, b: ManifoldDesc) -> Tuple[bool, str, str]:
+    def side(m: ManifoldDesc) -> str:
+        return f"(e={m.euler}, sigma={m.sigma}, t={m.parity})"
+    return homeo_equal(a, b), side(a), side(b)
+
+
 class Interpreter:
     def __init__(self, *, json_mode: bool = False,
                  node_budget: int = DEFAULT_NODE_BUDGET, out=None):
         self.json_mode = json_mode
         self.node_budget = node_budget
         self.out = out if out is not None else sys.stdout
-        self.knots: dict = {}
-        self.manifolds: dict = {}
-        self.sws: dict = {}
-        self.configs: dict = {}
+        self.values: dict = {kind: {} for kind in _NAMED}
         self._table = None
 
     # ---- output ----
@@ -166,178 +270,52 @@ class Interpreter:
         else:
             self.out.write(text + "\n")
 
-    # ---- name lookups ----
+    # ---- evaluation ----
 
-    def _knot(self, name: str):
-        if name not in self.knots:
-            raise KindError(f"{name!r} is not a defined knot")
-        return self.knots[name]
+    def _lookup(self, kind: str, name: str):
+        if name not in self.values[kind]:
+            raise KindError(f"{name!r} is not a defined {_NAMED[kind]}")
+        return self.values[kind][name]
 
-    def _manifold(self, name: str) -> ManifoldDesc:
-        if name not in self.manifolds:
-            raise KindError(f"{name!r} is not a defined manifold")
-        return self.manifolds[name]
+    def _alexander(self, knot) -> LaurentPoly:
+        return alexander_skein(knot, node_budget=self.node_budget)
 
-    def _sw(self, name: str) -> SWInvariant:
-        if name not in self.sws:
-            raise KindError(f"{name!r} is not a defined sw value")
-        return self.sws[name]
+    def _table_knot(self, entry: str):
+        if self._table is None:
+            self._table = load_knot_table()
+        if entry not in self._table:
+            raise KindError(f"no table entry named {entry!r}")
+        return self._table[entry]
 
-    def _config(self, name: str) -> ConfigIntersections:
-        if name not in self.configs:
-            raise KindError(f"{name!r} is not a defined config")
-        return self.configs[name]
-
-    # ---- knot expressions ----
-
-    def eval_knot(self, expr: str):
-        expr = expr.strip()
-        if expr.startswith("pd:"):
-            return parse_pd(expr[3:].strip())
-        if expr.startswith("braid:"):
-            word = expr[6:].split()
-            if not word:
-                raise KindError("braid word is empty")
-            return braid_closure([_want_int(w, "braid letter") for w in word])
+    def _call(self, family: str, expr: str):
+        """Evaluate an op of the table: the op must exist, the argument count
+        must fit, and the arguments are converted left to right, so the first
+        bad one is the one reported."""
         op, args = _parse_call(expr)
-        if op == "unknot":
-            _want_arity(op, args, 0)
-            return unknot()
-        if op == "trefoil":
-            _want_arity(op, args, 0)
-            return trefoil()
-        if op == "figure8":
-            _want_arity(op, args, 0)
-            return figure_eight()
-        if op == "twist":
-            _want_arity(op, args, 1)
-            return twist_knot(_want_int(args[0], "twist index"))
-        if op == "torus":
-            _want_arity(op, args, 2)
-            return torus_knot(_want_int(args[0], "p"), _want_int(args[1], "q"))
-        if op == "pretzel":
-            _want_arity(op, args, 3)
-            return pretzel(*(_want_int(a, "pretzel twist") for a in args))
-        if op == "mirror":
-            _want_arity(op, args, 1)
-            return mirror(self._knot(args[0]))
-        if op == "connect_sum":
-            _want_arity(op, args, 2)
-            return connect_sum(self._knot(args[0]), self._knot(args[1]))
-        if op == "table":
-            _want_arity(op, args, 1)
-            if self._table is None:
-                self._table = load_knot_table()
-            if args[0] not in self._table:
-                raise KindError(f"no table entry named {args[0]!r}")
-            return self._table[args[0]]
-        raise KindError(f"unknown knot operation {op!r}")
+        if op not in _OPS[family]:
+            raise KindError(f"unknown {_UNKNOWN[family]} {op!r}")
+        kinds, fn = _OPS[family][op]
+        if kinds and kinds[-1].startswith("*"):
+            if len(args) < len(kinds):
+                raise KindError(f"{op} takes {kinds[-1].split(' ', 1)[1]}")
+            kinds += kinds[-1:] * (len(args) - len(kinds))
+        else:
+            required = sum(not k.startswith("?") for k in kinds)
+            _want_arity(op, args, *range(required, len(kinds) + 1))
+        return fn(self, *(self._arg(op, kind, arg)
+                          for kind, arg in zip(kinds, args)))
 
-    # ---- manifold expressions ----
-
-    def eval_manifold(self, expr: str) -> ManifoldDesc:
-        op, args = _parse_call(expr)
-        if op == "CP2":
-            _want_arity(op, args, 0)
-            return cp2()
-        if op == "CP2bar":
-            _want_arity(op, args, 0)
-            return cp2_bar()
-        if op == "S2xS2":
-            _want_arity(op, args, 0)
-            return s2xs2()
-        if op == "E":
-            _want_arity(op, args, 1)
-            return elliptic(_want_int(args[0], "elliptic index"))
-        if op == "H":
-            _want_arity(op, args, 2)
-            return horikawa(_want_int(args[0], "m"), _want_int(args[1], "n"))
-        if op == "connected_sum":
-            _want_arity(op, args, 2)
-            return connected_sum(self._manifold(args[0]),
-                                 self._manifold(args[1]))
-        if op == "blowup":
-            _want_arity(op, args, 1, 2)
-            k = _want_int(args[1], "blowup count") if len(args) == 2 else 1
-            return blowup(self._manifold(args[0]), k)
-        if op == "fiber_sum":
-            _want_arity(op, args, 2, 3, 4)
-            la = args[2] if len(args) >= 3 else "F"
-            lb = args[3] if len(args) == 4 else None
-            return fiber_sum(self._manifold(args[0]), self._manifold(args[1]),
-                             la, lb)
-        if op == "torus_surgery":
-            _want_arity(op, args, 5)
-            return torus_surgery(self._manifold(args[0]), args[1],
-                                 *(_want_int(a, "surgery coefficient")
-                                   for a in args[2:]))
-        if op == "knot_surgery":
-            _want_arity(op, args, 3)
-            return knot_surgery(self._manifold(args[0]), args[1],
-                                self._knot(args[2]))
-        if op == "rational_blowdown":
-            _want_arity(op, args, 2, 3)
-            parity = None
-            if len(args) == 3:
-                if args[2] not in ("even", "odd"):
-                    raise KindError(
-                        "rational_blowdown parity must be 'even' or 'odd'")
-                parity = 0 if args[2] == "even" else 1
-            return rational_blowdown(self._manifold(args[0]),
-                                     _want_int(args[1], "p"), parity)
-        if op == "reverse":
-            _want_arity(op, args, 1)
-            return reverse_orientation(self._manifold(args[0]))
-        raise KindError(f"unknown manifold operation {op!r}")
-
-    # ---- sw expressions ----
-
-    def eval_sw(self, expr: str) -> SWInvariant:
-        op, args = _parse_call(expr)
-        if op == "sw":
-            _want_arity(op, args, 1)
-            return from_manifold(self._manifold(args[0]),
-                                 node_budget=self.node_budget)
-        if op == "elliptic":
-            _want_arity(op, args, 1)
-            return sw_elliptic(_want_int(args[0], "elliptic index"))
-        if op == "blowup_formula":
-            if len(args) < 2:
-                raise KindError("blowup_formula takes a value and names")
-            return blowup_formula(self._sw(args[0]), args[1:])
-        if op == "knot_surgery_formula":
-            _want_arity(op, args, 2)
-            delta = alexander_skein(self._knot(args[1]),
-                                    node_budget=self.node_budget)
-            return knot_surgery_formula(self._sw(args[0]), delta)
-        if op == "log_transform":
-            _want_arity(op, args, 2)
-            return log_transform(self._sw(args[0]),
-                                 _want_int(args[1], "multiplicity"))
-        if op == "double_log_transform":
-            _want_arity(op, args, 3)
-            return double_log_transform(*(_want_int(a, "parameter")
-                                          for a in args))
-        if op == "relative":
-            _want_arity(op, args, 1)
-            return relative_from_closed(self._sw(args[0]))
-        if op == "e1_rel":
-            _want_arity(op, args, 0)
-            return e1_relative()
-        if op == "t2d2":
-            _want_arity(op, args, 0)
-            return t2d2_piece()
-        if op == "glue":
-            _want_arity(op, args, 2)
-            return glue(self._sw(args[0]), self._sw(args[1]))
-        if op == "descend":
-            _want_arity(op, args, 2)
-            return descend(self._sw(args[0]), self._config(args[1]))
-        if op == "e1_twist_fixture":
-            _want_arity(op, args, 1)
-            return SWInvariant.closed(
-                sw_e1_twist_knot(_want_int(args[0], "twist index")))
-        raise KindError(f"unknown sw operation {op!r}")
+    def _arg(self, op: str, kind: str, arg: str):
+        kind, _, what = kind.lstrip("?*").partition(" ")
+        if kind == "int":
+            return _want_int(arg, what)
+        if kind == "word":
+            return arg
+        if kind == "parity":
+            if arg not in ("even", "odd"):
+                raise KindError(f"{op} parity must be 'even' or 'odd'")
+            return 0 if arg == "even" else 1
+        return self._lookup(kind, arg)
 
     # ---- config expressions ----
 
@@ -399,14 +377,19 @@ class Interpreter:
         m = _STMT_DEF.match(line)
         if m:
             kind, name, expr = m.groups()
-            if kind == "knot":
-                self.knots[name] = self.eval_knot(expr)
-            elif kind == "manifold":
-                self.manifolds[name] = self.eval_manifold(expr)
-            elif kind == "sw":
-                self.sws[name] = self.eval_sw(expr)
+            if kind == "config":
+                value = self.eval_config(expr)
+            elif kind == "knot" and expr.startswith("pd:"):
+                value = parse_pd(expr[3:].strip())
+            elif kind == "knot" and expr.startswith("braid:"):
+                word = expr[6:].split()
+                if not word:
+                    raise KindError("braid word is empty")
+                value = braid_closure([_want_int(w, "braid letter")
+                                       for w in word])
             else:
-                self.configs[name] = self.eval_config(expr)
+                value = self._call(kind, expr)
+            self.values[kind][name] = value
             return True
         m = _STMT_PRINT.match(line)
         if m:
@@ -424,7 +407,7 @@ class Interpreter:
 
     def _print(self, lineno: int, what: str, name: str) -> None:
         if what == "sw":
-            s = self._sw(name)
+            s = self._lookup("sw", name)
             basis = " ".join(s.basis)
             if s.is_reduced():
                 text = f"basis: {basis} | SW: {s.num}"
@@ -435,8 +418,8 @@ class Interpreter:
                 "kind": s.kind, "value": str(s)})
             return
         if what == "invariants":
-            inv = self._manifold(name).invariants
-            labels = self._manifold(name).labels
+            desc = self._lookup("manifold", name)
+            inv, labels = desc.invariants, desc.labels
             lab_text = " ".join(
                 f"{k}(g={v.genus},sq={v.self_int}"
                 + (",char)" if v.characteristic else ")")
@@ -456,12 +439,11 @@ class Interpreter:
                            for k, v in labels}})
             return
         if what == "alexander":
-            delta = alexander_skein(self._knot(name),
-                                    node_budget=self.node_budget)
+            delta = self._alexander(self._lookup("knot", name))
             self._emit(lineno, f"Delta: {delta}", {
                 "print": "alexander", "name": name, "value": str(delta)})
             return
-        desc = self._manifold(name)
+        desc = self._lookup("manifold", name)
         chi = desc.chi_h
         if not isinstance(chi, int):
             raise KindError(
@@ -472,55 +454,8 @@ class Interpreter:
                        "print": "geography", "name": name, "chi_h": chi,
                        "c": desc.c, "tags": list(tags)})
 
-    def _poly_from_text(self, text: str) -> LaurentPoly:
-        return parse_poly(text.strip())
-
-    @staticmethod
-    def _same_poly(a: LaurentPoly, b: LaurentPoly) -> bool:
-        union = VarBasis(tuple(sorted(set(a.basis) | set(b.basis))))
-        return a.extended(union) == b.extended(union)
-
     def _assert(self, lineno: int, pred: str, negate: bool) -> bool:
-        op, args = _parse_call(pred)
-        if op == "homeo":
-            _want_arity(op, args, 2)
-            a, b = self._manifold(args[0]), self._manifold(args[1])
-            got = homeo_equal(a, b)
-            left = f"(e={a.euler}, sigma={a.sigma}, t={a.parity})"
-            right = f"(e={b.euler}, sigma={b.sigma}, t={b.parity})"
-        elif op == "sw_equal":
-            _want_arity(op, args, 2)
-            va, vb = self._sw(args[0]).value(), self._sw(args[1]).value()
-            got = self._same_poly(va, vb)
-            left, right = str(va), str(vb)
-        elif op == "sw_is":
-            _want_arity(op, args, 2)
-            va = self._sw(args[0]).value()
-            vb = self._poly_from_text(args[1])
-            got = self._same_poly(va, vb)
-            left, right = str(va), str(vb)
-        elif op == "alexander_is":
-            _want_arity(op, args, 2)
-            va = alexander_skein(self._knot(args[0]),
-                                 node_budget=self.node_budget)
-            vb = self._poly_from_text(args[1])
-            got = self._same_poly(va, vb)
-            left, right = str(va), str(vb)
-        elif op == "alexander_equal":
-            _want_arity(op, args, 1, 2)
-            if len(args) == 2:
-                va = alexander_skein(self._knot(args[0]),
-                                     node_budget=self.node_budget)
-                vb = alexander_skein(self._knot(args[1]),
-                                     node_budget=self.node_budget)
-            else:
-                va = alexander_skein(self._knot(args[0]),
-                                     node_budget=self.node_budget)
-                vb = alexander_fox(self._knot(args[0]))
-            got = self._same_poly(va, vb)
-            left, right = str(va), str(vb)
-        else:
-            raise KindError(f"unknown assertion {op!r}")
+        got, left, right = self._call("assert", pred)
         wanted = not got if negate else got
         shown = f"assert {'not ' if negate else ''}{pred}"
         if wanted:
@@ -537,19 +472,21 @@ class Interpreter:
                         path: Optional[str]) -> None:
         rows = list(chart_rows(max_chi))
         if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(rows) + "\n")
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write("\n".join(rows) + "\n")
+            except OSError as exc:
+                raise ScriptError(str(exc), lineno, 1) from exc
             self._emit(lineno, f"wrote {len(rows)} rows to {path}", {
                 "emit": "geography", "max_chi": max_chi, "rows": len(rows),
                 "path": path})
+        elif self.json_mode:
+            self._emit(lineno, "", {
+                "emit": "geography", "max_chi": max_chi,
+                "rows": len(rows), "data": rows})
         else:
-            if self.json_mode:
-                self._emit(lineno, "", {
-                    "emit": "geography", "max_chi": max_chi,
-                    "rows": len(rows), "data": rows})
-            else:
-                for row in rows:
-                    self.out.write(row + "\n")
+            for row in rows:
+                self.out.write(row + "\n")
 
 
 def _parse_image(text: str) -> Tuple[str, Fraction]:

@@ -1,12 +1,16 @@
+import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts")
-                 .glob("*.swc"))
+from swcalc import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.swc"))
 
 
 def run_cli(args, stdin=None):
@@ -149,6 +153,15 @@ class TestOutputModes:
         assert text.startswith("chi_h\tc\ttags")
         assert "1\t0\t" in text
 
+    def test_emit_geography_unwritable_path(self, tmp_path):
+        target = tmp_path / "missing" / "chart.tsv"
+        out = run_cli(["-"], stdin=f"knot K = trefoil\n"
+                                   f"emit geography 2 > {target}\n")
+        assert out.returncode == 2
+        assert out.stderr.startswith("error (line 2, col 1): ")
+        assert str(target) in out.stderr
+        assert "internal error" not in out.stderr
+
     def test_version(self):
         out = run_cli(["--version"])
         assert out.returncode == 0
@@ -176,3 +189,59 @@ class TestOutputModes:
         assert out.returncode == 2
         assert out.stderr.startswith("error")
         assert "Traceback" not in out.stderr
+
+
+def test_table_resolves_functions_at_call_time(monkeypatch):
+    # a wrapper put in swcalc.cli after import (as bench/spans.py does)
+    # must see the calls the op table makes
+    seen = []
+    for name in ("cp2", "twist_knot", "glue", "alexander_skein",
+                 "homeo_equal"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _f=original, _n=name, **k:
+                            seen.append(_n) or _f(*a, **k))
+    src = ("manifold X = CP2\n"
+           "knot K = twist(2)\n"
+           "sw R = e1_rel\n"
+           "sw G = glue(R, R)\n"
+           "print alexander K\n"
+           "assert homeo(X, X)\n")
+    assert cli.run_script(src, out=io.StringIO()) == 0
+    assert sorted(seen) == ["alexander_skein", "cp2", "glue", "homeo_equal",
+                            "twist_knot"]
+
+
+def _grammar_ops(text: str) -> dict:
+    """Family -> op names in the grammar lines of text: a line opening with
+    knot, manifold, sw or assert, and the lines opening with '|' after it.
+    Arguments and optional parts are dropped; pd: and braid: are not ops."""
+    ops, family = {}, None
+    for line in text.splitlines():
+        m = re.match(r"\s*(knot|manifold|sw|assert)\s", line)
+        if m:
+            family = m.group(1)
+        elif not re.match(r"\s*\|", line):
+            family = None
+        if family is None:
+            continue
+        body = None
+        while body != line:
+            body, line = line, re.sub(r"\([^()]*\)|\[[^\[\]]*\]", "", line)
+        body = re.sub(r"^\s*(assert|\w+\s+\w+\s*=)", "", body)
+        ops.setdefault(family, set()).update(
+            alt.strip() for alt in body.split("|")
+            if re.fullmatch(r"\s*[A-Za-z_]\w*\s*", alt))
+    return ops
+
+
+def _readme_grammar() -> str:
+    text = (ROOT / "README.md").read_text("utf-8")
+    blocks = re.findall(r"```text\n(.*?)```", text, re.S)
+    return next(b for b in blocks if "knot K =" in b)
+
+
+@pytest.mark.parametrize("family", sorted(cli._OPS))
+@pytest.mark.parametrize("source", ["docstring", "README"])
+def test_grammar_lists_the_table_ops(source, family):
+    text = cli.__doc__ if source == "docstring" else _readme_grammar()
+    assert _grammar_ops(text).get(family) == set(cli._OPS[family])
