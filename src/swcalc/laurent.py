@@ -5,14 +5,20 @@ exponent is stored as an int equal to twice its true value, so t^(1/2) is the
 stored exponent 1 and t^2 is the stored exponent 4. All arithmetic is exact
 integer arithmetic; nothing in this module ever rounds.
 
-A polynomial is a dict from stored-exponent vectors (tuples aligned with the
-variable basis) to nonzero int coefficients. The canonical term order used
-for printing and for division is descending lexicographic order on the
-stored vectors.
+A polynomial is a dict from stored-exponent vectors to coefficients. Every
+stored term holds one invariant: its key is a tuple of ints as long as the
+variable basis, and its coefficient is a nonzero int. The public
+constructors (LaurentPoly(basis, terms), zero, one, constant, variable,
+monomial, from_terms) and parse_poly check it on their input. LaurentPoly._make
+is the one unchecked path: it only drops zero coefficients, and it is used
+only on results computed from operands that already hold the invariant.
+The canonical term order used for printing and for division is descending
+lexicographic order on the stored vectors.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -117,6 +123,22 @@ class LaurentPoly:
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _make(cls, basis: VarBasis, terms: dict) -> "LaurentPoly":
+        """Unchecked constructor for results of operands over basis.
+
+        terms must already have int-tuple keys of the basis length and int
+        coefficients; zero coefficients are dropped. The dict is kept, not
+        copied, so the caller must not touch it afterwards.
+        """
+        if 0 in terms.values():
+            terms = {vec: c for vec, c in terms.items() if c}
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "basis", basis)
+        object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -259,21 +281,27 @@ class LaurentPoly:
             return NotImplemented
         self._check_basis(o)
         acc = dict(self._terms)
+        get = acc.get
         for vec, c in o._terms.items():
-            acc[vec] = acc.get(vec, 0) + c
-        return LaurentPoly(self.basis, acc)
+            acc[vec] = get(vec, 0) + c
+        return LaurentPoly._make(self.basis, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.basis,
-                           {vec: -c for vec, c in self._terms.items()})
+        return LaurentPoly._make(self.basis,
+                                 {vec: -c for vec, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        self._check_basis(o)
+        acc = dict(self._terms)
+        get = acc.get
+        for vec, c in o._terms.items():
+            acc[vec] = get(vec, 0) - c
+        return LaurentPoly._make(self.basis, acc)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -286,12 +314,26 @@ class LaurentPoly:
         if o is None:
             return NotImplemented
         self._check_basis(o)
+        # the larger operand goes in the inner loop, so the per-row set-up
+        # runs fewer times
+        outer, inner = self._terms, o._terms
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        inner = inner.items()
         acc: dict = {}
-        for v1, c1 in self._terms.items():
-            for v2, c2 in o._terms.items():
-                key = tuple(a + b for a, b in zip(v1, v2))
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return LaurentPoly(self.basis, acc)
+        get = acc.get
+        if len(self.basis) == 1:
+            for (e1,), c1 in outer.items():
+                for (e2,), c2 in inner:
+                    key = (e1 + e2,)
+                    acc[key] = get(key, 0) + c1 * c2
+        else:
+            add = operator.add
+            for v1, c1 in outer.items():
+                for v2, c2 in inner:
+                    key = tuple(map(add, v1, v2))
+                    acc[key] = get(key, 0) + c1 * c2
+        return LaurentPoly._make(self.basis, acc)
 
     __rmul__ = __mul__
 
@@ -329,7 +371,7 @@ class LaurentPoly:
             nv[i] = nv[i] * k
             key = tuple(nv)
             acc[key] = acc.get(key, 0) + c
-        return LaurentPoly(self.basis, acc)
+        return LaurentPoly._make(self.basis, acc)
 
     def invert_variables(self, names: Optional[Sequence[str]] = None) -> "LaurentPoly":
         """Send each listed variable (default: all) to its inverse."""
@@ -342,7 +384,7 @@ class LaurentPoly:
             tuple(-e if j in flip else e for j, e in enumerate(vec)): c
             for vec, c in self._terms.items()
         }
-        return LaurentPoly(self.basis, acc)
+        return LaurentPoly._make(self.basis, acc)
 
     def rename(self, mapping: Mapping[str, str]) -> "LaurentPoly":
         """Rename variables; the basis keeps its order."""
@@ -361,7 +403,7 @@ class LaurentPoly:
             for p, e in zip(positions, vec):
                 nv[p] = e
             acc[tuple(nv)] = c
-        return LaurentPoly(b, acc)
+        return LaurentPoly._make(b, acc)
 
     def dropped(self, names: Sequence[str]) -> "LaurentPoly":
         """Remove variables that appear in no term of the support."""
@@ -627,7 +669,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         q_c = lc_r // lc_den
         quotient[q_vec] = q_c
         for vec, c in den_terms.items():
-            key = tuple(a + b for a, b in zip(q_vec, vec))
+            key = tuple(map(operator.add, q_vec, vec))
             nc = remainder.get(key, 0) - q_c * c
             if nc:
                 remainder[key] = nc
@@ -638,7 +680,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     unshift = tuple(a - b for a, b in zip(num_shift, den_shift))
     final = {tuple(e + s for e, s in zip(vec, unshift)): c
              for vec, c in quotient.items()}
-    return LaurentPoly(num.basis, final)
+    return LaurentPoly._make(num.basis, final)
 
 
 def try_exact_div(num: LaurentPoly, den: LaurentPoly):

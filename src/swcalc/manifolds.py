@@ -261,7 +261,8 @@ def blowup(a: ManifoldDesc, k: int = 1) -> ManifoldDesc:
     if k < 1:
         raise InvalidParameters("blowup count must be >= 1")
     inv = CharInvariants(a.euler + k, a.sigma - k, 1)
-    labels = {name: SurfaceLabel(lab.genus, lab.self_int, False)
+    labels = {name: (lab if not lab.characteristic
+                     else SurfaceLabel(lab.genus, lab.self_int, False))
               for name, lab in a.labels}
     idx = 1
     added = 0

@@ -53,6 +53,19 @@ class TestConstruction:
         with pytest.raises(InvalidParameters):
             LaurentPoly(T, {(0,): 1.5})
 
+    @pytest.mark.parametrize("basis, vec", [
+        (T, (2, 0)),
+        (T, ()),
+        (ET, (2,)),
+        (T, (1.0,)),
+        (T, ("2",)),
+        (ET, (0, Fraction(1, 2))),
+    ])
+    def test_bad_exponent_vector_rejected(self, basis, vec):
+        # results skip these checks, the public constructor must not
+        with pytest.raises(BasisMismatch):
+            LaurentPoly(basis, {vec: 1})
+
     def test_bad_variable_name(self):
         with pytest.raises(UnknownVariable):
             VarBasis(("2bad",))
@@ -109,6 +122,73 @@ class TestArithmetic:
     @given(polys_t)
     def test_eval_at_one_is_coefficient_sum(self, p):
         assert p.eval_at_one() == sum(c for _, c in p.terms())
+
+
+XYZ = VarBasis(("x", "y", "z"))
+
+
+@st.composite
+def _term_pairs(draw, basis):
+    """Two term dicts over small half-lattice exponents (stored odd or even)
+    where part of the second cancels part of the first."""
+    exp = st.integers(min_value=-3, max_value=3)
+    vec = st.tuples(*([exp] * len(basis)))
+    coeff = st.integers(min_value=-4, max_value=4).filter(bool)
+    a = draw(st.dictionaries(vec, coeff, max_size=8))
+    b = draw(st.dictionaries(vec, coeff, max_size=8))
+    for v in a:
+        if draw(st.booleans()):
+            b[v] = -a[v]
+    return a, b
+
+
+def _ref_sum(a, b, sign=1):
+    out = dict(a)
+    for v, c in b.items():
+        out[v] = out.get(v, 0) + sign * c
+    return {v: c for v, c in out.items() if c}
+
+
+def _ref_product(a, b):
+    out = {}
+    for v1, c1 in a.items():
+        for v2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(v1, v2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {v: c for v, c in out.items() if c}
+
+
+class TestKernelAgainstReference:
+    """Every arithmetic result equals the naive dict computation passed
+    through the checked public constructor: same value, length and hash."""
+
+    @staticmethod
+    def _check(basis, got, ref):
+        want = LaurentPoly(basis, ref)
+        assert got == want
+        assert len(got) == len(want) == len(ref)
+        assert hash(got) == hash(want)
+
+    def _run(self, basis, pair):
+        ra, rb = pair
+        a, b = LaurentPoly(basis, ra), LaurentPoly(basis, rb)
+        self._check(basis, a + b, _ref_sum(ra, rb))
+        self._check(basis, a - b, _ref_sum(ra, rb, -1))
+        self._check(basis, -a, {v: -c for v, c in ra.items()})
+        product = a * b
+        self._check(basis, product, _ref_product(ra, rb))
+        if rb:
+            self._check(basis, exact_div(product, b), ra)
+
+    @settings(max_examples=300)
+    @given(_term_pairs(T))
+    def test_univariate(self, pair):
+        self._run(T, pair)
+
+    @settings(max_examples=200)
+    @given(_term_pairs(XYZ))
+    def test_three_variables(self, pair):
+        self._run(XYZ, pair)
 
 
 class TestStructural:

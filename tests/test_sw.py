@@ -473,6 +473,27 @@ class TestWalker:
         expect = tp("E1 + E1^-1", b) * tp("E2 + E2^-1", b)
         assert v == expect
 
+    @staticmethod
+    def _ladder(depth):
+        x = elliptic(2)
+        for _ in range(depth):
+            x = fiber_sum(x, elliptic(2))
+        return x
+
+    @pytest.mark.parametrize("depth", [1, 55, 150])
+    def test_fiber_sum_ladder(self, depth):
+        # depth fiber sums of E(2) onto E(2) build E(2 depth + 2)
+        assert (from_manifold(self._ladder(depth)).value()
+                == sw_elliptic(2 * depth + 2).value())
+
+    def test_blown_up_ladder(self):
+        # three exceptional classes put the walker on the multivariate
+        # product path
+        v = from_manifold(blowup(self._ladder(20), 3)).value()
+        expect = blowup_formula(sw_elliptic(42), ["E1", "E2", "E3"])
+        assert len(v.basis) == 4
+        assert v == expect.value()
+
     def test_fiber_sum_elliptic(self):
         s = fiber_sum(elliptic(1), elliptic(1))
         assert from_manifold(s).value() == tp("1")
