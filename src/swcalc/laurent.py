@@ -14,6 +14,12 @@ is the one unchecked path: it only drops zero coefficients, and it is used
 only on results computed from operands that already hold the invariant.
 The canonical term order used for printing and for division is descending
 lexicographic order on the stored vectors.
+
+exact_div has two routes that give the same quotient and raise in the same
+cases, chosen from the input alone. One-variable input whose numerator's
+stored exponents span at most 4 * (len(num) + len(den)) + 16 (every division
+in the Fox determinant) is divided densely, on a coefficient list; all other
+input, multivariate or wide and sparse, is divided on the term dicts.
 """
 
 from __future__ import annotations
@@ -619,28 +625,25 @@ def parse_poly(text: str, basis: Optional[Iterable[str]] = None) -> LaurentPoly:
 
 # ---- exact division ----
 
-def _shift_to_origin(p: LaurentPoly) -> tuple:
-    """Translate exponents so each variable's minimum is 0.
-
-    Returns (shifted terms dict, shift vector). Works on stored exponents.
-    """
-    n = len(p.basis)
-    mins = [min(vec[i] for vec in p._terms) for i in range(n)]
-    shifted = {tuple(e - m for e, m in zip(vec, mins)): c
-               for vec, c in p._terms.items()}
-    return shifted, tuple(mins)
-
-
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact quotient num / den over Z, or raise InexactDivision.
 
-    Both arguments are translated so all exponents are nonnegative, then
-    reduced by descending-lex division against the single divisor. Each step
-    must divide exactly (exponentwise and over the integer coefficients) and
-    the remainder must reach zero; otherwise no Laurent quotient with integer
-    coefficients exists and InexactDivision is raised. The translation is
-    undone on the quotient, so fractional (half-lattice) exponents pass
-    through exactly.
+    The quotient is found by descending-lex long division against the single
+    divisor. Each step must divide exactly (exponentwise and over the integer
+    coefficients) and the remainder must reach zero; otherwise no Laurent
+    quotient with integer coefficients exists and InexactDivision is raised.
+    Fractional (half-lattice) exponents pass through exactly.
+
+    Two routes give the same quotient and raise in the same cases. The route
+    follows the input alone:
+
+    - dense, when the basis has one variable and the numerator's stored
+      exponents span at most 4 * (len(num) + len(den)) + 16: the division
+      runs on a coefficient list indexed by exponent. Every Fox determinant
+      step divides such narrow one-variable polynomials.
+    - sparse, for every other input, including wide sparse one-variable
+      input such as (t^(10^15) + 1)^2, whose coefficient list would not fit
+      in memory: the division runs on the term dicts.
     """
     if not isinstance(num, LaurentPoly) or not isinstance(den, LaurentPoly):
         raise InvalidParameters("exact_div expects LaurentPoly arguments")
@@ -651,36 +654,83 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise DivisionByZero("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(num.basis)
+    if len(num.basis) == 1:
+        exps = [e for (e,) in num._terms]
+        if max(exps) - min(exps) <= 4 * (len(num) + len(den)) + 16:
+            return _exact_div_dense(num, den)
+    return _exact_div_sparse(num, den)
 
-    num_terms, num_shift = _shift_to_origin(num)
-    den_terms, den_shift = _shift_to_origin(den)
-    lt_den = max(den_terms)
-    lc_den = den_terms[lt_den]
 
-    remainder = dict(num_terms)
+def _exact_div_dense(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """exact_div by schoolbook long division on coefficient lists.
+
+    One-variable, nonzero operands only. Slot i of the list holds the
+    coefficient of stored exponent nlo + i. The list is as long as the
+    numerator's span, so exact_div sends only narrow input here.
+    """
+    exps = [e for (e,) in num._terms]
+    nlo = min(exps)
+    rem = [0] * (max(exps) - nlo + 1)
+    for (e,), c in num._terms.items():
+        rem[e - nlo] = c
+    dlo = min(e for (e,) in den._terms)
+    dhi = max(e for (e,) in den._terms)
+    m = dhi - dlo
+    lc = den._terms[(dhi,)]
+    # offsets from the slot of the lead term; the lead slot itself is never
+    # read again, so it is not updated
+    lower = [(e - dhi, c) for (e,), c in den._terms.items() if e != dhi]
+    shift = nlo - dlo - m
+    quotient: dict = {}
+    for i in range(len(rem) - 1, m - 1, -1):
+        rc = rem[i]
+        if not rc:
+            continue
+        if rc % lc:
+            raise InexactDivision(f"({num}) is not divisible by ({den})")
+        qc = rc // lc
+        quotient[(i + shift,)] = qc
+        for off, c in lower:
+            rem[i + off] -= qc * c
+    # a nonzero slot below m would need a quotient exponent below
+    # nlo - dlo, the lowest a Laurent quotient can have
+    if any(rem[:m]):
+        raise InexactDivision(f"({num}) is not divisible by ({den})")
+    return LaurentPoly._make(num.basis, quotient)
+
+
+def _exact_div_sparse(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """exact_div by descending-lex division on the term dicts.
+
+    Any basis, nonzero operands only. A quotient term q is possible only
+    when q[i] >= min(num[i]) - min(den[i]) in every variable i, the
+    exponents of the shift that takes both operands to the origin.
+    """
+    nt, dt = num._terms, den._terms
+    floor = [min(v[i] for v in nt) - min(v[i] for v in dt)
+             for i in range(len(num.basis))]
+    lt_den = max(dt)
+    lc_den = dt[lt_den]
+    add, sub, lt = operator.add, operator.sub, operator.lt
+    remainder = dict(nt)
     quotient: dict = {}
     while remainder:
         lt_r = max(remainder)
         lc_r = remainder[lt_r]
-        q_vec = tuple(a - b for a, b in zip(lt_r, lt_den))
-        if any(e < 0 for e in q_vec) or lc_r % lc_den != 0:
+        q_vec = tuple(map(sub, lt_r, lt_den))
+        if any(map(lt, q_vec, floor)) or lc_r % lc_den != 0:
             raise InexactDivision(
                 f"({num}) is not divisible by ({den})")
         q_c = lc_r // lc_den
         quotient[q_vec] = q_c
-        for vec, c in den_terms.items():
-            key = tuple(map(operator.add, q_vec, vec))
+        for vec, c in dt.items():
+            key = tuple(map(add, q_vec, vec))
             nc = remainder.get(key, 0) - q_c * c
             if nc:
                 remainder[key] = nc
             else:
                 remainder.pop(key, None)
-
-    # undo the shifts: true quotient exponents differ by num_shift - den_shift
-    unshift = tuple(a - b for a, b in zip(num_shift, den_shift))
-    final = {tuple(e + s for e, s in zip(vec, unshift)): c
-             for vec, c in quotient.items()}
-    return LaurentPoly._make(num.basis, final)
+    return LaurentPoly._make(num.basis, quotient)
 
 
 def try_exact_div(num: LaurentPoly, den: LaurentPoly):

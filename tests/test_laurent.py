@@ -1,8 +1,9 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from swcalc.laurent import (LaurentPoly, VarBasis, exact_div, is_symmetric,
+from swcalc.laurent import (LaurentPoly, VarBasis, _exact_div_dense,
+                            _exact_div_sparse, exact_div, is_symmetric,
                             parse_poly, try_exact_div)
 from swcalc.errors import (BasisMismatch, DivisionByZero, InexactDivision,
                            InvalidParameters, ParseError, UnknownVariable)
@@ -29,6 +30,12 @@ int_polys_t = st.dictionaries(
     st.integers(min_value=-9, max_value=9), max_size=5).map(
         lambda d: tpoly(*d.items()))
 polys_et = _poly_strategy(ET)
+# nonzero, stored exponents: odd ones lie on the half lattice
+nonzero_stored_t = st.dictionaries(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-9, max_value=9).filter(bool),
+    min_size=1, max_size=5).map(
+        lambda d: LaurentPoly(T, {(e,): c for e, c in d.items()}))
 
 
 class TestConstruction:
@@ -308,6 +315,59 @@ class TestDivision:
         num = tpoly((6, 1), (-6, -1))
         den = tpoly((2, 1), (-2, -1))
         assert exact_div(num, den) == tpoly((4, 1), (0, 1), (-4, 1))
+
+
+class TestDivisionRoutes:
+    """exact_div's dense and sparse routes on the same one-variable pairs."""
+
+    @staticmethod
+    def _outcome(route, num, den):
+        try:
+            return ("quotient", route(num, den))
+        except InexactDivision as exc:
+            return ("inexact", str(exc))
+
+    @settings(max_examples=400, deadline=None)
+    @given(nonzero_stored_t, nonzero_stored_t,
+           st.one_of(st.none(), nonzero_stored_t),
+           st.integers(min_value=1, max_value=7))
+    # t^2 + t + t^-1 over t + 1 leaves t^-1 in a slot below the divisor's span
+    @example(LaurentPoly(T, {(2,): 1}), LaurentPoly(T, {(2,): 1, (0,): 1}),
+             LaurentPoly(T, {(-2,): 1}), 1)
+    # a lead coefficient that does not divide
+    @example(LaurentPoly(T, {(0,): 1}), LaurentPoly(T, {(2,): 2, (0,): 1}),
+             LaurentPoly(T, {(2,): 1}), 1)
+    # operands whose lowest exponents differ
+    @example(LaurentPoly(T, {(3,): 1}), LaurentPoly(T, {(-5,): 3}), None, 2)
+    def test_dense_and_sparse_agree(self, a, b, c, k):
+        # substitute_power(t, k) spreads the supports out with stride k
+        a, b = a.substitute_power("t", k), b.substitute_power("t", k)
+        num = a * b if c is None else a * b + c
+        if num.is_zero():
+            return
+        dense = self._outcome(_exact_div_dense, num, b)
+        assert dense == self._outcome(_exact_div_sparse, num, b)
+        if c is None:
+            assert dense == ("quotient", a)
+
+    def test_wide_one_variable_input_takes_the_sparse_route(self):
+        # a coefficient list over this span would need about 4 * 10^15
+        # slots; exact_div must see that from the input and not build it
+        p = LaurentPoly(T, {(2 * 10 ** 15,): 1, (0,): 1})
+        assert exact_div(p * p, p) == p
+
+    @pytest.mark.parametrize("num, den", [
+        # the quotient would need t^-2, below the range t^-1 / t
+        ("t^-1 + 3", "t + 1"),
+        ("3t + 1", "2t + 1"),
+    ])
+    def test_inexact_on_the_dense_route(self, num, den):
+        num, den = parse_poly(num, T), parse_poly(den, T)
+        message = f"({num}) is not divisible by ({den})"
+        for route in (exact_div, _exact_div_dense):
+            with pytest.raises(InexactDivision) as info:
+                route(num, den)
+            assert str(info.value) == message
 
 
 class TestParsePrint:
