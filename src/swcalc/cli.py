@@ -408,12 +408,7 @@ class Interpreter:
     def _print(self, lineno: int, what: str, name: str) -> None:
         if what == "sw":
             s = self._lookup("sw", name)
-            basis = " ".join(s.basis)
-            if s.is_reduced():
-                text = f"basis: {basis} | SW: {s.num}"
-            else:
-                text = f"basis: {basis} | SW: ({s.num}) / ({s.den})"
-            self._emit(lineno, text, {
+            self._emit(lineno, f"basis: {' '.join(s.basis)} | SW: {s}", {
                 "print": "sw", "name": name, "basis": list(s.basis),
                 "kind": s.kind, "value": str(s)})
             return

@@ -57,12 +57,6 @@ __all__ = [
     "hopf_link",
     "mirror",
     "connect_sum",
-    "crossing_sign",
-    "writhe",
-    "components",
-    "component_count",
-    "switch_crossing",
-    "smooth_crossing",
     "canonical_form",
     "alexander_skein",
     "skein_resolution",
@@ -127,16 +121,7 @@ class LinkDiagram:
 
     def validate(self) -> "LinkDiagram":
         """Check the structural invariants; return self for chaining."""
-        count: dict = {}
-        for idx, (a, b, c, d) in enumerate(self.crossings):
-            if a == c or b == d:
-                raise InvalidPD(
-                    f"crossing {idx} reuses an arc on one strand")
-            for arc in (a, b, c, d):
-                count[arc] = count.get(arc, 0) + 1
-        for arc, n in count.items():
-            if n != 2:
-                raise InvalidPD(f"arc {arc} appears {n} times, expected 2")
+        count = _arc_counts(self.crossings)
         heads: dict = {}
         tails: dict = {}
         for i in range(self.n_crossings):
@@ -240,7 +225,11 @@ class LinkDiagram:
         return LinkDiagram(crossings, self.over_from_b, self.free_loops)
 
     def reduce_kinks(self) -> "LinkDiagram":
-        """Remove reducible one-crossing curls until none remain."""
+        """Remove reducible one-crossing curls until none remain.
+
+        Smoothing a curl drops its crossing and closes the curl into a free
+        loop of its own; removing the curl is that smoothing less the loop.
+        """
         d = self
         while True:
             hit = None
@@ -250,33 +239,8 @@ class LinkDiagram:
                     break
             if hit is None:
                 return d
-            d = d._remove_kink(hit)
-
-    def _remove_kink(self, i: int) -> "LinkDiagram":
-        a = self.under_in(i)
-        c = self.under_out(i)
-        oi = self.over_in(i)
-        oo = self.over_out(i)
-        crossings = [cr for j, cr in enumerate(self.crossings) if j != i]
-        flags = [f for j, f in enumerate(self.over_from_b) if j != i]
-        loops = self.free_loops
-        relabel = {}
-        if c == oi:
-            # the loop arc is c; reconnect a to the over exit
-            if a == oo:
-                loops += 1
-            else:
-                relabel[oo] = a
-        else:
-            # a == oo: the loop arc is a; reconnect the over entry to c
-            if oi == c:
-                loops += 1
-            else:
-                relabel[c] = oi
-        if relabel:
-            crossings = [tuple(relabel.get(x, x) for x in cr)
-                         for cr in crossings]
-        return LinkDiagram(tuple(crossings), tuple(flags), loops)
+            d = d.smooth(hit)
+            d = LinkDiagram(d.crossings, d.over_from_b, d.free_loops - 1)
 
     def is_split_as_drawn(self) -> bool:
         """True when the diagram visibly splits (crossing clusters or loops)."""
@@ -302,6 +266,21 @@ class LinkDiagram:
 
     def __str__(self) -> str:
         return to_pd(self)
+
+
+def _arc_counts(crossings) -> dict:
+    """arc -> number of crossing slots it fills; raises InvalidPD unless
+    each crossing keeps its two strands apart and every arc fills two."""
+    count: dict = {}
+    for idx, (a, b, c, d) in enumerate(crossings):
+        if a == c or b == d:
+            raise InvalidPD(f"crossing {idx} reuses an arc on one strand")
+        for arc in (a, b, c, d):
+            count[arc] = count.get(arc, 0) + 1
+    for arc, n in count.items():
+        if n != 2:
+            raise InvalidPD(f"arc {arc} appears {n} times, expected 2")
+    return count
 
 
 # ---- PD text ----
@@ -330,15 +309,7 @@ def parse_pd(text: str) -> LinkDiagram:
     if not raw:
         raise InvalidPD("empty PD code")
 
-    count: dict = {}
-    for idx, (a, b, c, d) in enumerate(raw):
-        if a == c or b == d:
-            raise InvalidPD(f"crossing {idx} reuses an arc on one strand")
-        for arc in (a, b, c, d):
-            count[arc] = count.get(arc, 0) + 1
-    for arc, n in count.items():
-        if n != 2:
-            raise InvalidPD(f"arc {arc} appears {n} times, expected 2")
+    count = _arc_counts(raw)
 
     # link components: cycles of the arc graph with an edge per strand passage
     adjacency: dict = {arc: [] for arc in count}
@@ -581,32 +552,6 @@ def connect_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     return LinkDiagram(tuple(crs1) + tuple(crs2),
                        d1.over_from_b + d2s.over_from_b,
                        d1.free_loops + d2s.free_loops).validate()
-
-
-# ---- module-level aliases for the local moves ----
-
-def crossing_sign(diagram: LinkDiagram, i: int) -> int:
-    return diagram.sign(i)
-
-
-def writhe(diagram: LinkDiagram) -> int:
-    return sum(diagram.sign(i) for i in range(diagram.n_crossings))
-
-
-def components(diagram: LinkDiagram) -> list:
-    return diagram.components()
-
-
-def component_count(diagram: LinkDiagram) -> int:
-    return diagram.component_count()
-
-
-def switch_crossing(diagram: LinkDiagram, i: int) -> LinkDiagram:
-    return diagram.switch(i)
-
-
-def smooth_crossing(diagram: LinkDiagram, i: int) -> LinkDiagram:
-    return diagram.smooth(i)
 
 
 # ---- canonical form ----

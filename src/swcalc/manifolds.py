@@ -132,9 +132,6 @@ class ManifoldDesc:
                 return lab
         raise UnknownLabel(f"no surface labeled {name!r} on this manifold")
 
-    def has_label(self, name: str) -> bool:
-        return any(key == name for key, _ in self.labels)
-
     def labels_dict(self) -> dict:
         return dict(self.labels)
 
@@ -277,27 +274,28 @@ def blowup(a: ManifoldDesc, k: int = 1) -> ManifoldDesc:
 
 
 def fiber_sum(a: ManifoldDesc, b: ManifoldDesc, label_a: str = "F",
-              label_b: Optional[str] = None, genus: int = 1) -> ManifoldDesc:
-    """Fiber sum along same-genus square-zero surface labels.
+              label_b: Optional[str] = None) -> ManifoldDesc:
+    """Fiber sum along square-zero tori (genus-1 surface labels).
 
-    c adds plus 8g - 8 and chi_h adds plus g - 1. The sum is spin exactly
-    when both sides are spin or both glued surfaces are characteristic; the
-    glued surface stays characteristic when one side was spin and the other
-    surface characteristic. Section labels and the rest do not survive.
+    c and chi_h add (the genus-g terms 8g - 8 and g - 1 vanish at g = 1).
+    The sum is spin exactly when both sides are spin or both glued surfaces
+    are characteristic; the glued surface stays characteristic when one
+    side was spin and the other surface characteristic. Section labels and
+    the rest do not survive.
     """
     _require_sc(a, b)
     if label_b is None:
         label_b = label_a
     la = a.label(label_a)
     lb = b.label(label_b)
-    if la.genus != genus or lb.genus != genus:
+    if la.genus != 1 or lb.genus != 1:
         raise LabelMismatch(
-            f"fiber sum at genus {genus}, labels have genus "
+            "fiber sum at genus 1, labels have genus "
             f"{la.genus} and {lb.genus}")
     if la.self_int != 0 or lb.self_int != 0:
         raise LabelMismatch("fiber sum needs square-zero surfaces")
-    c = a.c + b.c + 8 * genus - 8
-    chi = a.chi_h + b.chi_h + genus - 1
+    c = a.c + b.c
+    chi = a.chi_h + b.chi_h
     if not isinstance(chi, int):
         raise NonIntegralResult(f"chi_h of the sum is {chi}")
     spin_pair = a.spin and b.spin
@@ -305,8 +303,8 @@ def fiber_sum(a: ManifoldDesc, b: ManifoldDesc, label_a: str = "F",
     parity = 0 if (spin_pair or char_pair) else 1
     new_char = (a.spin and lb.characteristic) or (la.characteristic and b.spin)
     inv = CharInvariants.from_c_chi(c, chi, parity)
-    labels = {label_a: SurfaceLabel(genus, 0, new_char)}
-    return ManifoldDesc("fiber_sum", (label_a, label_b, genus), (a, b), inv,
+    labels = {label_a: SurfaceLabel(1, 0, new_char)}
+    return ManifoldDesc("fiber_sum", (label_a, label_b), (a, b), inv,
                         _labels_tuple(labels))
 
 

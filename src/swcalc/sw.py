@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BasisMismatch,
@@ -32,6 +32,7 @@ from .errors import (
     NotSymmetric,
     NotTaut,
     RegimeError,
+    ResourceLimit,
     SimpleTypeRequired,
     UnsupportedForSW,
 )
@@ -66,6 +67,10 @@ __all__ = [
 ]
 
 T_BASIS = VarBasis(("t",))
+
+# the blowup formula doubles the term count per new class; refuse products
+# past this many numerator terms instead of exhausting memory
+MAX_BLOWUP_TERMS = 1 << 18
 
 
 def _t_poly(pairs) -> LaurentPoly:
@@ -227,6 +232,11 @@ def blowup_formula(sw: SWInvariant, names: Sequence[str]) -> SWInvariant:
         if name in sw.basis:
             raise InvalidParameters(
                 f"exceptional class {name!r} already tracked")
+    terms = len(sw.num) << len(names)
+    if terms > MAX_BLOWUP_TERMS:
+        raise ResourceLimit(
+            f"blowup formula would produce {terms} terms "
+            f"(limit {MAX_BLOWUP_TERMS})")
     basis = VarBasis(tuple(sorted(set(sw.basis) | set(names))))
     out = sw.extended(basis)
     for name in names:
@@ -235,31 +245,26 @@ def blowup_formula(sw: SWInvariant, names: Sequence[str]) -> SWInvariant:
     return out
 
 
-def knot_surgery_formula(sw: SWInvariant, delta: LaurentPoly,
-                         var: str = "t",
-                         fiber_var: str = "t") -> SWInvariant:
-    """Knot surgery on the fiber torus: multiply by Delta(t^2).
+def knot_surgery_formula(sw: SWInvariant, delta: LaurentPoly) -> SWInvariant:
+    """Knot surgery on the fiber torus: multiply by Delta(t^2), where t is
+    the fiber class.
 
-    delta must be a symmetric one-variable Laurent polynomial with
+    delta must be a symmetric Laurent polynomial in t alone with
     |Delta(1)| = 1 (the knot condition).
     """
-    if len(delta.basis) != 1 or delta.basis[0] != var:
-        raise InvalidParameters(
-            f"Alexander polynomial must be univariate in {var!r}")
+    if delta.basis != T_BASIS:
+        raise InvalidParameters("Alexander polynomial must be univariate in 't'")
     if not is_symmetric(delta):
-        raise NotSymmetric(f"{delta} is not symmetric under {var} -> 1/{var}")
+        raise NotSymmetric(f"{delta} is not symmetric under t -> 1/t")
     if abs(delta.eval_at_one()) != 1:
         raise InvalidParameters(
             f"|Delta(1)| = {abs(delta.eval_at_one())}, not 1: not a knot "
             f"polynomial")
-    factor = delta.substitute_power(var, 2)
-    if var != fiber_var:
-        factor = factor.rename({var: fiber_var})
-    return sw.scaled(factor.extended(sw.basis))
+    return sw.scaled(delta.substitute_power("t", 2).extended(sw.basis))
 
 
-def log_transform(sw: SWInvariant, r: int, var: str = "t") -> SWInvariant:
-    """Single logarithmic transform of multiplicity r on the fiber torus:
+def log_transform(sw: SWInvariant, r: int) -> SWInvariant:
+    """Single logarithmic transform of multiplicity r on the fiber torus t:
 
         SW -> SW(t^r) * (t^(r-1) + t^(r-3) + ... + t^(1-r)).
 
@@ -268,14 +273,14 @@ def log_transform(sw: SWInvariant, r: int, var: str = "t") -> SWInvariant:
     """
     if r < 0:
         raise InvalidParameters("multiplicity r must be >= 0")
-    if var not in sw.basis:
-        raise InvalidParameters(f"no tracked class named {var!r}")
+    if "t" not in sw.basis:
+        raise InvalidParameters("no tracked class named 't'")
     if r == 0:
         return SWInvariant(LaurentPoly.zero(sw.basis),
                            LaurentPoly.one(sw.basis), sw.kind, sw.simple_type)
-    num = sw.num.substitute_power(var, r)
-    den = sw.den.substitute_power(var, r)
-    v = LaurentPoly.variable(sw.basis, var)
+    num = sw.num.substitute_power("t", r)
+    den = sw.den.substitute_power("t", r)
+    v = LaurentPoly.variable(sw.basis, "t")
     spread = LaurentPoly.zero(sw.basis)
     for j in range(r):
         spread = spread + v ** (r - 1 - 2 * j)
@@ -478,23 +483,18 @@ class ConfigIntersections:
         return (name, Fraction(1))
 
 
-def standard_blowdown_rows(p: int,
-                           names: Optional[Sequence[str]] = None) -> dict:
-    """Pairings of the exceptional classes e_1 .. e_(p-1) against the
+def standard_blowdown_rows(p: int) -> dict:
+    """Pairings of the exceptional classes e1 .. e(p-1) against the
     standard configuration U_0 = F - 2 e_1 - e_2 - ... - e_(p-1),
     U_j = e_j - e_(j+1)."""
     if p < 2:
         raise InvalidParameters("blowdown configurations need p >= 2")
-    if names is None:
-        names = [f"e{i}" for i in range(1, p)]
-    if len(names) != p - 1:
-        raise InvalidParameters(f"need {p - 1} class names")
     rows = {}
-    for i, name in enumerate(names, start=1):
+    for i in range(1, p):
         row = [2 if i == 1 else 1]
         for j in range(1, p - 1):
             row.append(-1 if i == j else (1 if i == j + 1 else 0))
-        rows[name] = tuple(row)
+        rows[f"e{i}"] = tuple(row)
     return rows
 
 
@@ -640,10 +640,6 @@ def from_manifold(desc: ManifoldDesc, *,
         base = from_manifold(desc.parents[0], node_budget=node_budget)
         return blowup_formula(base, _added_exceptional_names(desc))
     if op == "fiber_sum":
-        label_a, label_b, genus = desc.params
-        if genus != 1:
-            raise UnsupportedForSW(
-                "gluing formula implemented for genus-1 fiber sums only")
         a, b = desc.parents
         return glue(_relative_value(a, node_budget),
                     _relative_value(b, node_budget))

@@ -178,6 +178,15 @@ class TestOutputModes:
         out = run_cli(["--node-budget", "0", "-"], stdin="")
         assert out.returncode == 2
 
+    def test_blowup_term_bound_exits_two(self):
+        src = ("manifold X = E(2)\n"
+               "manifold B = blowup(X, 30)\n"
+               "sw s = sw(B)\n")
+        out = run_cli(["-"], stdin=src)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error (line 3, col 1):")
+        assert "Traceback" not in out.stderr
+
     def test_internal_error_exits_two_without_traceback(self):
         # a 1200-deep blowup chain overflows the recursive walker; the
         # defect must still honour the exit contract (1 is for asserts)

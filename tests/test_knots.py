@@ -160,6 +160,89 @@ def _seeded_braids():
 SEEDED_BRAIDS = _seeded_braids()
 
 
+def _remove_kink_reference(d, i):
+    """Kink removal as a move of its own, kept as a reference for
+    reduce_kinks: drop curl i and reconnect around its loop arc."""
+    a, c = d.under_in(i), d.under_out(i)
+    oi, oo = d.over_in(i), d.over_out(i)
+    crossings = [cr for j, cr in enumerate(d.crossings) if j != i]
+    flags = [f for j, f in enumerate(d.over_from_b) if j != i]
+    loops = d.free_loops
+    relabel = {}
+    if c == oi:
+        # the loop arc is c; reconnect a to the over exit
+        if a == oo:
+            loops += 1
+        else:
+            relabel[oo] = a
+    else:
+        # a == oo: the loop arc is a; reconnect the over entry to c
+        if oi == c:
+            loops += 1
+        else:
+            relabel[c] = oi
+    if relabel:
+        crossings = [tuple(relabel.get(x, x) for x in cr)
+                     for cr in crossings]
+    return LinkDiagram(tuple(crossings), tuple(flags), loops)
+
+
+def _reduce_kinks_reference(d):
+    """(reduced diagram, kinks removed) by the reference move."""
+    removed = 0
+    while True:
+        hit = next((i for i in range(d.n_crossings)
+                    if d.under_out(i) == d.over_in(i)
+                    or d.under_in(i) == d.over_out(i)), None)
+        if hit is None:
+            return d, removed
+        d = _remove_kink_reference(d, hit)
+        removed += 1
+
+
+class TestReduceKinks:
+    def test_positive_curl(self):
+        d = braid_closure([1, 1, 1, 2])
+        out = d.reduce_kinks()
+        assert out == _reduce_kinks_reference(d)[0]
+        assert (out.n_crossings, out.free_loops) == (3, 0)
+        assert alexander_skein(out) == alexander_skein(trefoil())
+
+    def test_negative_curl(self):
+        d = braid_closure([1, 1, 1, -2])
+        out = d.reduce_kinks()
+        assert out == _reduce_kinks_reference(d)[0]
+        assert (out.n_crossings, out.free_loops) == (3, 0)
+
+    @pytest.mark.parametrize("letter", [1, -1])
+    def test_both_strands_loop(self, letter):
+        # the one-crossing closure: the crossing's two strands are each
+        # closed by their own arc, and removing it leaves one free loop
+        d = braid_closure([letter])
+        assert d.n_crossings == 1
+        out = d.reduce_kinks()
+        assert out == _reduce_kinks_reference(d)[0]
+        assert out == LinkDiagram((), (), 1)
+
+    def test_matches_reference_on_seeded_moves(self):
+        rng = random.Random(7031)
+        kinks = 0
+        for _ in range(2400):
+            strands = rng.randint(2, 5)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(1, 14))]
+            d = braid_closure(word, strands)
+            for _ in range(rng.randint(0, 4)):
+                if not d.n_crossings:
+                    break
+                i = rng.randrange(d.n_crossings)
+                d = d.switch(i) if rng.random() < 0.5 else d.smooth(i)
+            expect, removed = _reduce_kinks_reference(d)
+            assert d.reduce_kinks() == expect, (word, d)
+            kinks += removed
+        assert kinks >= 1000
+
+
 class TestAlexanderSkein:
     @pytest.mark.parametrize("name,make,expect",
                              FROZEN, ids=[f[0] for f in FROZEN])

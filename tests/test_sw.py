@@ -7,6 +7,7 @@ from swcalc.manifolds import (CharInvariants, elliptic, horikawa, cp2,
                               cp2_bar, s2xs2, connected_sum, blowup,
                               fiber_sum, torus_surgery, knot_surgery,
                               rational_blowdown, reverse_orientation)
+from swcalc import sw as sw_module
 from swcalc.knots import trefoil, twist_knot, figure_eight, alexander_skein
 from swcalc.sw import (SWInvariant, T_BASIS, sw_elliptic,
                        relative_from_closed, e1_relative, t2d2_piece, glue,
@@ -21,7 +22,8 @@ from swcalc.errors import (ChamberMismatch, InexactDivision,
                            InvalidParameters, KindError,
                            MissingIntersectionData, NonIntegralDimension,
                            NotSymmetric, NotTaut, OutOfBand, RegimeError,
-                           SimpleTypeRequired, UnsupportedForSW)
+                           ResourceLimit, SimpleTypeRequired,
+                           UnsupportedForSW)
 
 T = VarBasis(T_BASIS)
 
@@ -170,6 +172,22 @@ class TestBlowupFormula:
         s = SWInvariant.closed(tp("1"), simple_type=False)
         with pytest.raises(SimpleTypeRequired):
             blowup_formula(s, ["e1"])
+
+    def test_term_bound_refuses_at_once(self):
+        # 2^30 terms would exhaust memory; the bound trips before any product
+        with pytest.raises(ResourceLimit):
+            blowup_formula(sw_elliptic(2), [f"e{i}" for i in range(1, 31)])
+
+    def test_term_bound_edge(self, monkeypatch):
+        monkeypatch.setattr(sw_module, "MAX_BLOWUP_TERMS", 64)
+        names = [f"e{i}" for i in range(1, 8)]
+        assert len(blowup_formula(sw_elliptic(2), names[:6]).num) == 64
+        with pytest.raises(ResourceLimit):
+            blowup_formula(sw_elliptic(2), names)
+        # the count is of numerator terms: 2 terms times 2^5 is 64
+        assert len(blowup_formula(sw_elliptic(3), names[:5]).num) == 64
+        with pytest.raises(ResourceLimit):
+            blowup_formula(sw_elliptic(3), names[:6])
 
 
 class TestKnotSurgeryFormula:
@@ -359,8 +377,21 @@ def c5_config(taut=False):
 
 
 class TestDescent:
+    # p = 5 is test_standard_rows_p5
+    @pytest.mark.parametrize("p,rows", [
+        (2, {"e1": (2,)}),
+        (3, {"e1": (2, -1), "e2": (1, 1)}),
+        (4, {"e1": (2, -1, 0), "e2": (1, 1, -1), "e3": (1, 0, 1)}),
+        (6, {"e1": (2, -1, 0, 0, 0), "e2": (1, 1, -1, 0, 0),
+             "e3": (1, 0, 1, -1, 0), "e4": (1, 0, 0, 1, -1),
+             "e5": (1, 0, 0, 0, 1)}),
+    ])
+    def test_standard_rows_frozen(self, p, rows):
+        assert standard_blowdown_rows(p) == rows
+
     def test_standard_rows_p5(self):
         rows = standard_blowdown_rows(5)
+        assert sorted(rows) == ["e1", "e2", "e3", "e4"]
         assert rows["e1"] == (2, -1, 0, 0)
         assert rows["e2"] == (1, 1, -1, 0)
         assert rows["e3"] == (1, 0, 1, -1)
