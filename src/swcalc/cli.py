@@ -100,26 +100,26 @@ _STMT_ASSERT = re.compile(r"^assert\s+(not\s+)?(\S.*)$")
 _STMT_EMIT = re.compile(r"^emit\s+geography\s+(\d+)\s*(?:>\s*(\S+))?$")
 _CALL = re.compile(r"^([A-Za-z_]\w*)\s*(?:\((.*)\))?$", re.S)
 _INT = re.compile(r"^-?\d+$")
+_ARG_MARKS = re.compile(r"[(),]")
 
 
 def _split_args(text: str) -> List[str]:
     """Split on top-level commas (no nesting across parentheses)."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
+    parts, depth, start = [], 0, 0
+    for m in _ARG_MARKS.finditer(text):
+        ch = m.group()
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise KindError("unbalanced parentheses")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
+        elif depth == 0:
+            parts.append(text[start:m.start()].strip())
+            start = m.end()
     if depth != 0:
         raise KindError("unbalanced parentheses")
-    tail = "".join(cur).strip()
+    tail = text[start:].strip()
     if tail or parts:
         parts.append(tail)
     return parts
@@ -213,7 +213,8 @@ _OPS = {
                              lambda it, n:
                              SWInvariant.closed(sw_e1_twist_knot(n))),
     },
-    # an assertion gives (holds, left side, right side)
+    # an assertion gives (holds, left side, right side); the sides are
+    # rendered with str() only when the assertion fails
     "assert": {
         "homeo": (("manifold", "manifold"), lambda it, a, b: _homeo(a, b)),
         "sw_equal": (("sw", "sw"),
@@ -239,11 +240,12 @@ _NAMED = {"knot": "knot", "manifold": "manifold", "sw": "sw value",
           "config": "config"}
 
 
-def _compare(a: LaurentPoly, b: LaurentPoly) -> Tuple[bool, str, str]:
+def _compare(a: LaurentPoly,
+             b: LaurentPoly) -> Tuple[bool, LaurentPoly, LaurentPoly]:
     """Whether two polynomials agree over the union of their bases, and
-    both as printed."""
+    both polynomials."""
     union = VarBasis(tuple(sorted(set(a.basis) | set(b.basis))))
-    return a.extended(union) == b.extended(union), str(a), str(b)
+    return a.extended(union) == b.extended(union), a, b
 
 
 def _homeo(a: ManifoldDesc, b: ManifoldDesc) -> Tuple[bool, str, str]:
@@ -260,6 +262,9 @@ class Interpreter:
         self.out = out if out is not None else sys.stdout
         self.values: dict = {kind: {} for kind in _NAMED}
         self._table = None
+        # Alexander polynomial of each knot diagram met in this run; a
+        # diagram is a frozen dataclass, so equal diagrams share an entry
+        self._deltas: dict = {}
 
     # ---- output ----
 
@@ -278,7 +283,13 @@ class Interpreter:
         return self.values[kind][name]
 
     def _alexander(self, knot) -> LaurentPoly:
-        return alexander_skein(knot, node_budget=self.node_budget)
+        """The skein engine's Delta, computed once per diagram in a run. Only
+        results are kept, so a ResourceLimit is raised again at each use."""
+        delta = self._deltas.get(knot)
+        if delta is None:
+            delta = alexander_skein(knot, node_budget=self.node_budget)
+            self._deltas[knot] = delta
+        return delta
 
     def _table_knot(self, entry: str):
         if self._table is None:
@@ -408,9 +419,10 @@ class Interpreter:
     def _print(self, lineno: int, what: str, name: str) -> None:
         if what == "sw":
             s = self._lookup("sw", name)
-            self._emit(lineno, f"basis: {' '.join(s.basis)} | SW: {s}", {
+            value = str(s)
+            self._emit(lineno, f"basis: {' '.join(s.basis)} | SW: {value}", {
                 "print": "sw", "name": name, "basis": list(s.basis),
-                "kind": s.kind, "value": str(s)})
+                "kind": s.kind, "value": value})
             return
         if what == "invariants":
             desc = self._lookup("manifold", name)
@@ -434,9 +446,9 @@ class Interpreter:
                            for k, v in labels}})
             return
         if what == "alexander":
-            delta = self._alexander(self._lookup("knot", name))
-            self._emit(lineno, f"Delta: {delta}", {
-                "print": "alexander", "name": name, "value": str(delta)})
+            value = str(self._alexander(self._lookup("knot", name)))
+            self._emit(lineno, f"Delta: {value}", {
+                "print": "alexander", "name": name, "value": value})
             return
         desc = self._lookup("manifold", name)
         chi = desc.chi_h
@@ -457,6 +469,7 @@ class Interpreter:
             self._emit(lineno, f"ok: {shown}", {
                 "assert": pred, "negated": negate, "ok": True})
             return True
+        left, right = str(left), str(right)
         self._emit(lineno, f"FAILED: {shown}\n  left:  {left}\n"
                    f"  right: {right}", {
                        "assert": pred, "negated": negate, "ok": False,

@@ -9,9 +9,11 @@ A polynomial is a dict from stored-exponent vectors to coefficients. Every
 stored term holds one invariant: its key is a tuple of ints as long as the
 variable basis, and its coefficient is a nonzero int. The public
 constructors (LaurentPoly(basis, terms), zero, one, constant, variable,
-monomial, from_terms) and parse_poly check it on their input. LaurentPoly._make
-is the one unchecked path: it only drops zero coefficients, and it is used
-only on results computed from operands that already hold the invariant.
+monomial, from_terms) check it on their input. LaurentPoly._make is the one
+unchecked path: it only drops zero coefficients, and it is used only on
+results computed from operands that already hold the invariant, and by
+parse_poly, which makes the int keys and int coefficients itself from the
+tokens of its text.
 The canonical term order used for printing and for division is descending
 lexicographic order on the stored vectors.
 
@@ -24,8 +26,10 @@ input, multivariate or wide and sparse, is divided on the term dicts.
 
 from __future__ import annotations
 
+import heapq
 import operator
 import re
+import string
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -402,6 +406,8 @@ class LaurentPoly:
     def extended(self, basis: Iterable[str]) -> "LaurentPoly":
         """Reinterpret over a larger basis containing every current variable."""
         b = basis if isinstance(basis, VarBasis) else VarBasis(basis)
+        if b == self.basis:
+            return self
         positions = [b.position(n) for n in self.basis]
         acc = {}
         for vec, c in self._terms.items():
@@ -461,123 +467,71 @@ class LaurentPoly:
 
 # ---- parsing ----
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()^+\-/*]))")
+# one token per match: an unsigned integer, a variable name, an operator
+# character, or any other non-space character, which is an error; space
+# between tokens matches nothing and is skipped. \d is the Unicode decimal
+# class, so str.isdecimal() holds for exactly the integer tokens.
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[()^+\-/*]|\S")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_OPERATORS = frozenset("()^+-/*")
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            raise ParseError(f"unexpected character {text[pos]!r}", pos=pos)
-        if m.group(1) is not None:
-            out.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            out.append(("name", m.group(2), m.start(2)))
-        elif m.group(3) is not None:
-            out.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
-        # skip trailing whitespace so the loop terminates cleanly
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-    return out
+def _parse_error(text: str, toks: list, i: int, message: str):
+    """Raise the error for a parse that failed at token i.
+
+    A character that starts no token is reported first, wherever it is,
+    as "unexpected character"; its position is 0 when the text opens with
+    space that no token follows. Integer tokens before it are converted on
+    the way, so an integer too long for int() raises its ValueError first.
+    Otherwise message is raised at token i, or at the end of the text when
+    i is past the last token.
+    """
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    for k, start in enumerate(starts):
+        tok = toks[k]
+        if tok.isdecimal():
+            int(tok)
+        elif tok not in _OPERATORS and tok[0] not in _NAME_START:
+            if k == 0 and text[0].isspace():
+                start = 0
+            raise ParseError(f"unexpected character {text[start]!r}",
+                             pos=start)
+    if not starts and text:
+        raise ParseError(f"unexpected character {text[0]!r}", pos=0)
+    raise ParseError(message, pos=starts[i] if i < len(starts) else len(text))
 
 
-class _PolyParser:
-    def __init__(self, tokens, end_pos=0):
-        self.toks = tokens
-        self.i = 0
-        self.end_pos = end_pos
-
-    def peek(self):
-        if self.i < len(self.toks):
-            return self.toks[self.i]
-        return (None, None, self.end_pos)
-
-    def take(self):
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def expect_op(self, op):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos=pos)
-
-    def parse_exponent(self) -> int:
-        """Exponent after '^', returned in stored (doubled) form."""
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "(":
-            self.take()
-            stored = self._signed_fraction()
-            self.expect_op(")")
-            return stored
-        return self._signed_int() * 2
-
-    def _signed_int(self) -> int:
-        sign = 1
-        kind, val, pos = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-            kind, val, pos = self.peek()
-        if kind != "int":
-            raise ParseError("expected integer exponent", pos=pos)
-        self.take()
-        return sign * val
-
-    def _signed_fraction(self) -> int:
-        num = self._signed_int()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "/":
-            self.take()
-            kind, val, pos = self.peek()
-            if kind != "int":
-                raise ParseError("expected denominator", pos=pos)
-            self.take()
-            if val == 1:
-                return num * 2
-            if val == 2:
-                return num
-            raise ParseError(
-                "only half-integer exponents are supported", pos=pos)
-        return num * 2
-
-    def parse_term(self, vars_seen: dict) -> tuple:
-        """One term: returns ({name: stored exponent}, coefficient)."""
-        coeff = None
-        exps: dict = {}
-        saw_factor = False
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "int":
-                self.take()
-                coeff = val if coeff is None else coeff * val
-                saw_factor = True
-                nk, nv, _ = self.peek()
-                if nk == "op" and nv == "*":
-                    self.take()
-                continue
-            if kind == "name":
-                self.take()
-                vars_seen[val] = True
-                nk, nv, _ = self.peek()
-                if nk == "op" and nv == "^":
-                    self.take()
-                    stored = self.parse_exponent()
-                else:
-                    stored = 2
-                exps[val] = exps.get(val, 0) + stored
-                saw_factor = True
-                nk, nv, _ = self.peek()
-                if nk == "op" and nv == "*":
-                    self.take()
-                continue
-            break
-        if not saw_factor:
-            raise ParseError("expected a term", pos=self.peek()[2])
-        return exps, 1 if coeff is None else coeff
+def _exponent(text: str, toks: list, i: int) -> tuple:
+    """The exponent whose first token is toks[i], after a '^': a signed
+    integer, or a signed integer or half-integer in parentheses. Returns its
+    stored (doubled) form and the index of the token after it."""
+    paren = toks[i] == "("
+    if paren:
+        i += 1
+    sign = 1
+    if toks[i] == "+" or toks[i] == "-":
+        sign = -1 if toks[i] == "-" else 1
+        i += 1
+    if not toks[i].isdecimal():
+        _parse_error(text, toks, i, "expected integer exponent")
+    stored = 2 * sign * int(toks[i])
+    i += 1
+    if not paren:
+        return stored, i
+    if toks[i] == "/":
+        i += 1
+        if not toks[i].isdecimal():
+            _parse_error(text, toks, i, "expected denominator")
+        den = int(toks[i])
+        if den == 2:
+            stored //= 2
+        elif den != 1:
+            _parse_error(text, toks, i,
+                         "only half-integer exponents are supported")
+        i += 1
+    if toks[i] != ")":
+        _parse_error(text, toks, i, "expected ')'")
+    return stored, i + 1
 
 
 def parse_poly(text: str, basis: Optional[Iterable[str]] = None) -> LaurentPoly:
@@ -586,41 +540,72 @@ def parse_poly(text: str, basis: Optional[Iterable[str]] = None) -> LaurentPoly:
     If basis is omitted it is inferred as the sorted tuple of variables
     appearing in the text (a constant gets the empty basis). Round-tripping
     print output is exact: parse_poly(str(p), p.basis) == p.
+
+    A polynomial is an optional sign and terms joined by + or -; a term is
+    one or more factors, each optionally followed by '*': an unsigned
+    integer, or a variable with an optional ^exponent (see _exponent).
+    Factors of a term multiply, and repeated variables add their exponents.
+    The text is split into tokens by one regex pass and parsed in one loop
+    over them; ParseError.pos is the offset of the offending character,
+    or len(text) for an early end. An explicit basis is checked after the
+    text parses: the first variable of the text outside it raises
+    UnknownVariable.
     """
-    tokens = _tokenize(text)
-    parser = _PolyParser(tokens, end_pos=len(text))
-    vars_seen: dict = {}
-    raw_terms = []  # (exps, coeff) with stored exponents
-
-    sign = 1
-    kind, val, pos = parser.peek()
-    if kind == "op" and val in "+-":
-        parser.take()
-        sign = -1 if val == "-" else 1
-    while True:
-        exps, coeff = parser.parse_term(vars_seen)
-        raw_terms.append((exps, sign * coeff))
-        kind, val, pos = parser.peek()
-        if kind is None:
-            break
-        if kind == "op" and val in "+-":
-            parser.take()
-            sign = -1 if val == "-" else 1
-            continue
-        raise ParseError(f"unexpected token {val!r}", pos=pos)
-
-    if basis is None:
-        b = VarBasis(sorted(vars_seen))
-    else:
-        b = basis if isinstance(basis, VarBasis) else VarBasis(basis)
+    toks = _TOKEN_RE.findall(text)
+    # the text's own basis: its variables, sorted
+    own = VarBasis(sorted(t for t in set(toks) if t[0] in _NAME_START))
+    index = {name: j for j, name in enumerate(own)}
+    toks.append("")             # end of text: matches no test below
     acc: dict = {}
-    for exps, coeff in raw_terms:
-        vec = [0] * len(b)
-        for name, stored in exps.items():
-            vec[b.position(name)] = stored
+    get = acc.get
+    i = 0
+    sign = 1
+    if toks[0] == "+" or toks[0] == "-":
+        sign = -1 if toks[0] == "-" else 1
+        i = 1
+    while True:
+        first = i
+        coeff = 1
+        vec = [0] * len(own)
+        while True:
+            tok = toks[i]
+            j = index.get(tok)
+            if j is not None:
+                i += 1
+                if toks[i] == "^":
+                    stored, i = _exponent(text, toks, i + 1)
+                    vec[j] += stored
+                else:
+                    vec[j] += 2
+            elif tok.isdecimal():
+                coeff *= int(tok)
+                i += 1
+            else:
+                break
+            if toks[i] == "*":
+                i += 1
+        if i == first:
+            _parse_error(text, toks, i, "expected a term")
         key = tuple(vec)
-        acc[key] = acc.get(key, 0) + coeff
-    return LaurentPoly(b, acc)
+        acc[key] = get(key, 0) + sign * coeff
+        tok = toks[i]
+        if tok == "+" or tok == "-":
+            sign = -1 if tok == "-" else 1
+            i += 1
+        elif tok:
+            _parse_error(text, toks, i, f"unexpected token {tok!r}")
+        else:
+            break
+
+    poly = LaurentPoly._make(own, acc)
+    if basis is None:
+        return poly
+    b = basis if isinstance(basis, VarBasis) else VarBasis(basis)
+    outside = set(own).difference(b)
+    if outside:
+        # the text's first variable outside b, as the message names it
+        b.position(next(t for t in toks if t in outside))
+    return poly.extended(b)
 
 
 # ---- exact division ----
@@ -705,31 +690,51 @@ def _exact_div_sparse(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     Any basis, nonzero operands only. A quotient term q is possible only
     when q[i] >= min(num[i]) - min(den[i]) in every variable i, the
     exponents of the shift that takes both operands to the origin.
+
+    The division runs on negated exponent vectors, where the leading term
+    is the least key, so a heap of the remainder's keys yields it: a step
+    costs the divisor's length times a log, not a scan of the remainder.
+    A key is pushed when it enters the remainder, and an entry whose key
+    has since cancelled is skipped when it surfaces. Each step removes the
+    leading key and adds only later ones, so the first live entry popped
+    is always the leading key.
     """
-    nt, dt = num._terms, den._terms
-    floor = [min(v[i] for v in nt) - min(v[i] for v in dt)
-             for i in range(len(num.basis))]
-    lt_den = max(dt)
-    lc_den = dt[lt_den]
-    add, sub, lt = operator.add, operator.sub, operator.lt
-    remainder = dict(nt)
+    add, sub, gt, neg = operator.add, operator.sub, operator.gt, operator.neg
+    remainder = {tuple(map(neg, v)): c for v, c in num._terms.items()}
+    dt = {tuple(map(neg, v)): c for v, c in den._terms.items()}
+    # the floor above, negated
+    ceiling = [max(v[i] for v in remainder) - max(v[i] for v in dt)
+               for i in range(len(num.basis))]
+    lt_den = min(dt)
+    lc_den = dt.pop(lt_den)
+    rest = dt.items()
+    heap = list(remainder)
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     quotient: dict = {}
     while remainder:
-        lt_r = max(remainder)
-        lc_r = remainder[lt_r]
+        lt_r = pop(heap)
+        lc_r = remainder.pop(lt_r, None)
+        if lc_r is None:
+            continue
         q_vec = tuple(map(sub, lt_r, lt_den))
-        if any(map(lt, q_vec, floor)) or lc_r % lc_den != 0:
+        if any(map(gt, q_vec, ceiling)) or lc_r % lc_den != 0:
             raise InexactDivision(
                 f"({num}) is not divisible by ({den})")
         q_c = lc_r // lc_den
-        quotient[q_vec] = q_c
-        for vec, c in dt.items():
+        quotient[tuple(map(neg, q_vec))] = q_c
+        for vec, c in rest:
             key = tuple(map(add, q_vec, vec))
-            nc = remainder.get(key, 0) - q_c * c
-            if nc:
-                remainder[key] = nc
+            rc = remainder.get(key)
+            if rc is None:
+                remainder[key] = -q_c * c
+                push(heap, key)
             else:
-                remainder.pop(key, None)
+                rc -= q_c * c
+                if rc:
+                    remainder[key] = rc
+                else:
+                    del remainder[key]
     return LaurentPoly._make(num.basis, quotient)
 
 

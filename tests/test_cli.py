@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from swcalc import cli
+from swcalc.errors import KindError, ScriptError
+from swcalc.knots import braid_closure, figure_eight, trefoil
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.swc"))
@@ -218,6 +220,158 @@ def test_table_resolves_functions_at_call_time(monkeypatch):
     assert cli.run_script(src, out=io.StringIO()) == 0
     assert sorted(seen) == ["alexander_skein", "cp2", "glue", "homeo_equal",
                             "twist_knot"]
+
+
+# one failing assert of each kind after _FAIL_SETUP, with the sides the
+# interpreter printed before it rendered them only on failure
+_FAIL_SETUP = ("sw A = elliptic(3)\n"
+               "sw B = elliptic(4)\n"
+               "knot K = trefoil\n"
+               "knot F = figure8\n"
+               "manifold X = E(2)\n"
+               "manifold Y = E(3)\n"
+               "sw R = blowup_formula(A, e1)\n")
+_FAILING = [
+    ("sw_equal(A, B)", False, "t - t^-1", "t^2 - 2 + t^-2"),
+    ("sw_is(R, t + e1)", False, "e1 t - e1 t^-1 + e1^-1 t - e1^-1 t^-1",
+     "e1 + t"),
+    ("alexander_is(K, t^2 - 1 + t^-2)", False, "t - 1 + t^-1",
+     "t^2 - 1 + t^-2"),
+    ("alexander_equal(K, F)", False, "t - 1 + t^-1", "-t + 3 - t^-1"),
+    ("homeo(X, Y)", False, "(e=24, sigma=-16, t=0)",
+     "(e=36, sigma=-24, t=1)"),
+    ("alexander_equal(K)", True, "t - 1 + t^-1", "t - 1 + t^-1"),
+    ("sw_is(A, t - t^-1)", True, "t - t^-1", "t - t^-1"),
+]
+
+
+class TestFailedAssertText:
+    @pytest.mark.parametrize("pred,negated,left,right", _FAILING,
+                             ids=[f[0].split("(")[0] + ("_not" if f[1] else "")
+                                  for f in _FAILING])
+    def test_sides_in_text_and_json(self, pred, negated, left, right):
+        src = _FAIL_SETUP + f"assert {'not ' if negated else ''}{pred}\n"
+        out = io.StringIO()
+        assert cli.run_script(src, out=out) == 1
+        assert out.getvalue().splitlines()[-3:] == [
+            f"FAILED: assert {'not ' if negated else ''}{pred}",
+            f"  left:  {left}", f"  right: {right}"]
+        out = io.StringIO()
+        assert cli.run_script(src, json_mode=True, out=out) == 1
+        assert out.getvalue().splitlines()[-1] == json.dumps(
+            {"assert": pred, "left": left, "line": 8, "negated": negated,
+             "ok": False, "right": right})
+
+
+def _count_skein(monkeypatch):
+    calls = []
+    original = cli.alexander_skein
+
+    def counted(knot, **kwargs):
+        calls.append(knot)
+        return original(knot, **kwargs)
+
+    monkeypatch.setattr(cli, "alexander_skein", counted)
+    return calls
+
+
+class TestAlexanderOncePerKnot:
+    def test_one_skein_run_per_distinct_knot(self, monkeypatch):
+        calls = _count_skein(monkeypatch)
+        src = ("knot K = trefoil\n"
+               "print alexander K\n"
+               "assert alexander_is(K, t - 1 + t^-1)\n"
+               "assert alexander_equal(K)\n"
+               "sw E = elliptic(2)\n"
+               "sw S = knot_surgery_formula(E, K)\n"
+               "knot J = braid: 1 1 1\n"
+               "assert alexander_equal(K, J)\n"
+               "knot F = figure8\n"
+               "print alexander F\n"
+               "assert alexander_equal(F)\n"
+               "assert not alexander_equal(K, F)\n")
+        out = io.StringIO()
+        assert cli.run_script(src, out=out) == 0, out.getvalue()
+        # trefoil and braid: 1 1 1 are the same diagram
+        assert trefoil() == braid_closure([1, 1, 1])
+        assert calls == [trefoil(), figure_eight()]
+
+    def test_redefined_name_gets_the_new_delta(self, monkeypatch):
+        calls = _count_skein(monkeypatch)
+        src = ("knot K = trefoil\n"
+               "print alexander K\n"
+               "knot K = figure8\n"
+               "print alexander K\n"
+               "assert alexander_is(K, -t + 3 - t^-1)\n")
+        out = io.StringIO()
+        assert cli.run_script(src, out=out) == 0
+        assert out.getvalue().splitlines() == [
+            "Delta: t - 1 + t^-1", "Delta: -t + 3 - t^-1",
+            "ok: assert alexander_is(K, -t + 3 - t^-1)"]
+        assert len(calls) == 2
+
+    def test_each_run_computes_again(self, monkeypatch):
+        calls = _count_skein(monkeypatch)
+        src = "knot K = trefoil\nprint alexander K\nprint alexander K\n"
+        for _ in range(2):
+            assert cli.run_script(src, out=io.StringIO()) == 0
+        assert len(calls) == 2
+
+    def test_budget_failure_is_not_kept(self, monkeypatch, tmp_path, capsys):
+        script = tmp_path / "big.swc"
+        script.write_text("knot K = torus(3, 5)\n"
+                          "knot J = trefoil\n"
+                          "print alexander J\n"
+                          "print alexander K\n")
+        assert cli.main(["--node-budget", "10", str(script)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "Delta: t - 1 + t^-1\n"
+        assert err.startswith("error (line 4, col 1): ")
+        assert "node budget" in err
+        # a ResourceLimit is raised again at every use, not remembered
+        calls = _count_skein(monkeypatch)
+        it = cli.Interpreter(node_budget=10, out=io.StringIO())
+        it.run("knot K = torus(3, 5)\n")
+        for _ in range(2):
+            with pytest.raises(ScriptError) as exc:
+                it.run("assert alexander_equal(K)\n")
+            assert "node budget" in str(exc.value)
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "", "a", " a , b ", "a,", ",", "f(a, b), c", "(a,(b,c)),d", " ( , ) ",
+    "a)", "(a", "a,(b", "a),(b", ")(", "a,,b"])
+def test_split_args_parts_and_errors(text):
+    # the character walk the splitter replaced
+    def reference(text):
+        parts, depth, cur = [], 0, []
+        for ch in text:
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth < 0:
+                    raise KindError("unbalanced parentheses")
+            if ch == "," and depth == 0:
+                parts.append("".join(cur).strip())
+                cur = []
+            else:
+                cur.append(ch)
+        if depth != 0:
+            raise KindError("unbalanced parentheses")
+        tail = "".join(cur).strip()
+        if tail or parts:
+            parts.append(tail)
+        return parts
+
+    def outcome(split):
+        try:
+            return split(text)
+        except KindError as exc:
+            return str(exc)
+
+    assert outcome(cli._split_args) == outcome(reference)
 
 
 def _grammar_ops(text: str) -> dict:

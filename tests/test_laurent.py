@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
@@ -5,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from swcalc.laurent import (LaurentPoly, VarBasis, _exact_div_dense,
                             _exact_div_sparse, exact_div, is_symmetric,
                             parse_poly, try_exact_div)
-from swcalc.errors import (BasisMismatch, DivisionByZero, InexactDivision,
-                           InvalidParameters, ParseError, UnknownVariable)
+from swcalc.errors import (BasisMismatch, CalcError, DivisionByZero,
+                           InexactDivision, InvalidParameters, ParseError,
+                           UnknownVariable)
 
 T = VarBasis(("t",))
 ET = VarBasis(("e1", "t"))
@@ -425,3 +428,269 @@ class TestParsePrint:
             T, {"t": Fraction(-3, 2)})
         with pytest.raises(ParseError):
             parse_poly("t^(1/3)", T)
+
+
+# ---- the two-stage parser that parse_poly replaced, kept as a reference ----
+
+_REF_TOKEN_RE = re.compile(
+    r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()^+\-/*]))")
+
+
+def _ref_tokenize(text):
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if not m or m.end() == m.start():
+            raise ParseError(f"unexpected character {text[pos]!r}", pos=pos)
+        if m.group(1) is not None:
+            out.append(("int", int(m.group(1)), m.start(1)))
+        elif m.group(2) is not None:
+            out.append(("name", m.group(2), m.start(2)))
+        elif m.group(3) is not None:
+            out.append(("op", m.group(3), m.start(3)))
+        pos = m.end()
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+    return out
+
+
+class _RefPolyParser:
+    def __init__(self, tokens, end_pos=0):
+        self.toks = tokens
+        self.i = 0
+        self.end_pos = end_pos
+
+    def peek(self):
+        if self.i < len(self.toks):
+            return self.toks[self.i]
+        return (None, None, self.end_pos)
+
+    def take(self):
+        t = self.peek()
+        self.i += 1
+        return t
+
+    def expect_op(self, op):
+        kind, val, pos = self.take()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}", pos=pos)
+
+    def parse_exponent(self):
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "(":
+            self.take()
+            stored = self._signed_fraction()
+            self.expect_op(")")
+            return stored
+        return self._signed_int() * 2
+
+    def _signed_int(self):
+        sign = 1
+        kind, val, pos = self.peek()
+        if kind == "op" and val in "+-":
+            self.take()
+            sign = -1 if val == "-" else 1
+            kind, val, pos = self.peek()
+        if kind != "int":
+            raise ParseError("expected integer exponent", pos=pos)
+        self.take()
+        return sign * val
+
+    def _signed_fraction(self):
+        num = self._signed_int()
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "/":
+            self.take()
+            kind, val, pos = self.peek()
+            if kind != "int":
+                raise ParseError("expected denominator", pos=pos)
+            self.take()
+            if val == 1:
+                return num * 2
+            if val == 2:
+                return num
+            raise ParseError(
+                "only half-integer exponents are supported", pos=pos)
+        return num * 2
+
+    def parse_term(self, vars_seen):
+        coeff = None
+        exps = {}
+        saw_factor = False
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "int":
+                self.take()
+                coeff = val if coeff is None else coeff * val
+                saw_factor = True
+                nk, nv, _ = self.peek()
+                if nk == "op" and nv == "*":
+                    self.take()
+                continue
+            if kind == "name":
+                self.take()
+                vars_seen[val] = True
+                nk, nv, _ = self.peek()
+                if nk == "op" and nv == "^":
+                    self.take()
+                    stored = self.parse_exponent()
+                else:
+                    stored = 2
+                exps[val] = exps.get(val, 0) + stored
+                saw_factor = True
+                nk, nv, _ = self.peek()
+                if nk == "op" and nv == "*":
+                    self.take()
+                continue
+            break
+        if not saw_factor:
+            raise ParseError("expected a term", pos=self.peek()[2])
+        return exps, 1 if coeff is None else coeff
+
+
+def _parse_poly_reference(text, basis=None):
+    parser = _RefPolyParser(_ref_tokenize(text), end_pos=len(text))
+    vars_seen = {}
+    raw_terms = []
+    sign = 1
+    kind, val, pos = parser.peek()
+    if kind == "op" and val in "+-":
+        parser.take()
+        sign = -1 if val == "-" else 1
+    while True:
+        exps, coeff = parser.parse_term(vars_seen)
+        raw_terms.append((exps, sign * coeff))
+        kind, val, pos = parser.peek()
+        if kind is None:
+            break
+        if kind == "op" and val in "+-":
+            parser.take()
+            sign = -1 if val == "-" else 1
+            continue
+        raise ParseError(f"unexpected token {val!r}", pos=pos)
+    if basis is None:
+        b = VarBasis(sorted(vars_seen))
+    else:
+        b = basis if isinstance(basis, VarBasis) else VarBasis(basis)
+    acc = {}
+    for exps, coeff in raw_terms:
+        vec = [0] * len(b)
+        for name, stored in exps.items():
+            vec[b.position(name)] = stored
+        key = tuple(vec)
+        acc[key] = acc.get(key, 0) + coeff
+    return LaurentPoly(b, acc)
+
+
+_NAMES = ("e1", "t", "x_2")
+ETX = VarBasis(_NAMES)
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
+
+
+@st.composite
+def _poly_texts(draw):
+    """Polynomial text as a user may write it: signs, integer factors,
+    variables with plain, signed, parenthesised and half-integer exponents,
+    factors joined by space or '*', and extra whitespace anywhere a token
+    ends."""
+    def sp():
+        return draw(_SPACE)
+
+    def exponent():
+        k = draw(st.integers(min_value=-9, max_value=9))
+        form = draw(st.sampled_from(
+            ["none", "int", "plus", "paren", "half", "over_one"]))
+        sign = "-" if k < 0 else ""
+        if form == "none":
+            return ""
+        if form == "int":
+            return f"^{sp()}{k}"
+        if form == "plus":
+            return f"^{sp()}+{sp()}{abs(k)}"
+        if form == "paren":
+            return f"^{sp()}({sp()}{k}{sp()}){sp()}"
+        den = 2 if form == "half" else 1
+        return (f"^({sp()}{sign}{sp()}{abs(k)}{sp()}/{sp()}{den}{sp()})")
+
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        factors = []
+        if draw(st.booleans()):
+            factors.append(str(draw(st.integers(min_value=0, max_value=40))))
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            factors.append(draw(st.sampled_from(_NAMES)) + exponent())
+        if not factors:
+            factors.append("1")
+        text = factors[0]
+        for f in factors[1:]:
+            text += draw(st.sampled_from([" ", "*", " * ", "\t", "* "])) + f
+        terms.append(text)
+    text = sp() + draw(st.sampled_from(["", "-", "+", "- "])) + terms[0]
+    for term in terms[1:]:
+        text += sp() + draw(st.sampled_from("+-")) + sp() + term
+    return text + sp()
+
+
+def _outcome(parse, text, basis):
+    try:
+        return parse(text, basis)
+    except CalcError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "pos", None)
+
+
+_BASES = st.sampled_from([None, T, ETX, ("t", "e1"), ("x_2", "t", "e1")])
+_EDIT_CHARS = st.sampled_from(list("()^+-/*0123456789 \tetx_$.,é") + ["t"])
+
+
+class TestParserAgainstReference:
+    """parse_poly gives what the two-stage tokenizer and parser gave: the
+    same polynomial, or the same error with the same message and pos."""
+
+    @settings(max_examples=400)
+    @given(_poly_texts(), _BASES)
+    @example("t^(1/2) - t^(-3/2)", None)
+    @example("  2 * e1^+3 t^( -5 / 2 )  -  x_2*7 ", ETX)
+    def test_written_polynomials(self, text, basis):
+        want = _outcome(_parse_poly_reference, text, basis)
+        assert isinstance(want, LaurentPoly) or want[0] == "UnknownVariable"
+        assert _outcome(parse_poly, text, basis) == want
+
+    @settings(max_examples=200)
+    @given(_poly_strategy(XYZ).map(
+        lambda p: LaurentPoly(XYZ, {tuple(e - 1 for e in vec): c
+                                    for vec, c in p._terms.items()})))
+    def test_printed_polynomials(self, p):
+        # shifting every stored exponent by one puts the odd ones, the
+        # half-integer exponents, in the printed text
+        text = str(p)
+        assert parse_poly(text, XYZ) == _parse_poly_reference(text, XYZ) == p
+        assert parse_poly(text) == _parse_poly_reference(text)
+
+    @settings(max_examples=800)
+    @given(_poly_texts(), _BASES, st.data())
+    @example("t^", None, None)
+    @example("t + + 1", None, None)
+    @example("t^(1/3)", None, None)
+    @example("t^(1 2)", None, None)
+    @example("t^(1/)", None, None)
+    @example("t^(-)", None, None)
+    @example("t^2 ^ 3", None, None)
+    @example("", None, None)
+    @example("   ", None, None)
+    @example(" $ t", None, None)
+    @example("t $", None, None)
+    @example("t + (2", None, None)
+    @example("s + $", T, None)
+    def test_corrupted_polynomials(self, text, basis, data):
+        if data is not None:
+            at = data.draw(st.integers(min_value=0, max_value=len(text)))
+            edit = data.draw(st.sampled_from(["delete", "insert", "swap"]))
+            if edit == "insert":
+                text = text[:at] + data.draw(_EDIT_CHARS) + text[at:]
+            elif edit == "delete":
+                text = text[:at] + text[at + 1:]
+            elif at + 1 < len(text):
+                text = text[:at] + text[at + 1] + text[at] + text[at + 2:]
+        assert (_outcome(parse_poly, text, basis)
+                == _outcome(_parse_poly_reference, text, basis))
