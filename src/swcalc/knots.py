@@ -2,21 +2,21 @@
 
 Diagram conventions
 -------------------
-### A crossing is X(a, b, c, d): the four arc labels counterclockwise around
-### the crossing starting at the incoming under-strand a. The under-strand
-### runs a -> c. The over-strand occupies b and d; its direction is stored
-### explicitly (over_from_b: True means the over-strand enters at b and
-### leaves at d). A crossing is positive exactly when the over-strand enters
-### at b.
-###
-### PD text input follows the usual successor convention: within each link
-### component the arcs are labeled consecutively along the orientation
-### (cyclically), so the under-strand must run a -> succ(a) and the
-### over-strand direction is whichever of b -> d / d -> b is compatible
-### with the successor map. When both are (a two-arc component), the
-### positive reading wins. One consequence: the one-crossing negative kink
-### has no PD text form, since its only candidate encoding X(1,1,2,2) gives
-### arc 1 two incoming ends; builders create such diagrams directly.
+A crossing is X(a, b, c, d): the four arc labels counterclockwise around
+the crossing starting at the incoming under-strand a. The under-strand
+runs a -> c. The over-strand occupies b and d; its direction is stored
+explicitly (over_from_b: True means the over-strand enters at b and
+leaves at d). A crossing is positive exactly when the over-strand enters
+at b.
+
+PD text input follows the usual successor convention: within each link
+component the arcs are labeled consecutively along the orientation
+(cyclically), so the under-strand must run a -> succ(a) and the
+over-strand direction is whichever of b -> d / d -> b is compatible
+with the successor map. When both are (a two-arc component), the
+positive reading wins. One consequence: the one-crossing negative kink
+has no PD text form, since its only candidate encoding X(1,1,2,2) gives
+arc 1 two incoming ends; builders create such diagrams directly.
 
 Both Alexander engines return the symmetric normalization with value +1 at
 t = 1 (for knots). They share no code beyond the polynomial type: the skein

@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedForSW,
 )
 from .knots import DEFAULT_NODE_BUDGET, alexander_skein
-from .laurent import LaurentPoly, VarBasis, exact_div, is_symmetric, try_exact_div
+from .laurent import LaurentPoly, VarBasis, exact_div, is_symmetric
 from .manifolds import CharInvariants, ManifoldDesc
 
 __all__ = [
@@ -78,9 +78,18 @@ def _t_poly(pairs) -> LaurentPoly:
     return LaurentPoly.from_terms(T_BASIS, [({"t": e}, c) for e, c in pairs])
 
 
-def _fiber_bracket(r: int) -> LaurentPoly:
-    """t^r - t^-r, the sinh-type bracket the transform formulas are built of."""
-    return _t_poly([(r, 1), (-r, -1)])
+_NECK = _t_poly([(-1, 1), (1, -1)])  # t^-1 - t, the fiber complement's neck
+
+
+def _bracket_power(k: int, m: int) -> LaurentPoly:
+    """(t^k - t^-k)^m as its binomial terms (-1)^j C(m, j) t^(k(m - 2j))."""
+    return _t_poly([(k * (m - 2 * j), (-1) ** j * math.comb(m, j))
+                    for j in range(m + 1)])
+
+
+def _spread(r: int, k: int = 1) -> LaurentPoly:
+    """t^(k(r-1)) + t^(k(r-3)) + ... + t^(-k(r-1)), the r-term spread."""
+    return _t_poly([(k * (r - 1 - 2 * j), 1) for j in range(r)])
 
 
 @dataclass(frozen=True)
@@ -133,13 +142,10 @@ class SWInvariant:
     def reduced_if_exact(self) -> "SWInvariant":
         """The reduced invariant when the denominator divides exactly, else
         self (the pair is kept)."""
-        if self.den.is_one():
+        try:
+            return self.reduced()
+        except InexactDivision:
             return self
-        q = try_exact_div(self.num, self.den)
-        if q is None:
-            return self
-        return SWInvariant(q, LaurentPoly.one(self.basis), self.kind,
-                           self.simple_type)
 
     def value(self) -> LaurentPoly:
         """The invariant as a single polynomial (reducing if needed)."""
@@ -165,7 +171,7 @@ class SWInvariant:
 
 
 def sw_elliptic(n: int) -> SWInvariant:
-    """SW(E(n)) = (t - t^-1)^(n-2) for n >= 2.
+    """SW(E(n)) = (t - t^-1)^(n-2) for n >= 2, built from its binomial terms.
 
     E(1) has b+ = 1 and no chamber-free value; see chamber_series_e1.
     """
@@ -175,15 +181,15 @@ def sw_elliptic(n: int) -> SWInvariant:
         raise RegimeError(
             "E(1) has b+ = 1; its invariant is chamber-dependent "
             "(use chamber_series_e1)")
-    return SWInvariant.closed(_fiber_bracket(1) ** (n - 2))
+    return SWInvariant.closed(_bracket_power(1, n - 2))
 
 
 def relative_from_closed(sw: SWInvariant) -> SWInvariant:
     """Relative value of the fiber complement: multiply by t^-1 - t."""
     if sw.kind != "closed":
         raise KindError("relative_from_closed takes a closed invariant")
-    neck = _t_poly([(-1, 1), (1, -1)]).extended(sw.basis)
-    return SWInvariant(sw.num * neck, sw.den, "relative", sw.simple_type)
+    return SWInvariant(sw.num * _NECK.extended(sw.basis), sw.den, "relative",
+                       sw.simple_type)
 
 
 def e1_relative() -> SWInvariant:
@@ -196,8 +202,7 @@ def t2d2_piece() -> SWInvariant:
 
     Gluing it onto a relative complement value returns the closed invariant.
     """
-    return SWInvariant.relative(LaurentPoly.one(T_BASIS),
-                                _t_poly([(-1, 1), (1, -1)]))
+    return SWInvariant.relative(LaurentPoly.one(T_BASIS), _NECK)
 
 
 def glue(a: SWInvariant, b: SWInvariant,
@@ -268,8 +273,9 @@ def log_transform(sw: SWInvariant, r: int) -> SWInvariant:
 
         SW -> SW(t^r) * (t^(r-1) + t^(r-3) + ... + t^(1-r)).
 
-    r = 0 kills the invariant. Composing two transforms on the same torus
-    is not this formula twice; use double_log_transform.
+    The spread is written down as its r terms, and a pair is reduced when
+    it divides exactly. r = 0 kills the invariant. Composing two transforms
+    on the same torus is not this formula twice; use double_log_transform.
     """
     if r < 0:
         raise InvalidParameters("multiplicity r must be >= 0")
@@ -278,14 +284,9 @@ def log_transform(sw: SWInvariant, r: int) -> SWInvariant:
     if r == 0:
         return SWInvariant(LaurentPoly.zero(sw.basis),
                            LaurentPoly.one(sw.basis), sw.kind, sw.simple_type)
-    num = sw.num.substitute_power("t", r)
+    num = sw.num.substitute_power("t", r) * _spread(r).extended(sw.basis)
     den = sw.den.substitute_power("t", r)
-    v = LaurentPoly.variable(sw.basis, "t")
-    spread = LaurentPoly.zero(sw.basis)
-    for j in range(r):
-        spread = spread + v ** (r - 1 - 2 * j)
-    return SWInvariant(num * spread, den, sw.kind,
-                       sw.simple_type).reduced_if_exact()
+    return SWInvariant(num, den, sw.kind, sw.simple_type).reduced_if_exact()
 
 
 def double_log_transform(n: int, r: int, s: int) -> SWInvariant:
@@ -293,7 +294,10 @@ def double_log_transform(n: int, r: int, s: int) -> SWInvariant:
 
         (t^(rs) - t^(-rs))^n / ((t^r - t^(-r)) (t^s - t^(-s)))
 
-    computed by exact division; r and s must be coprime and n >= 2.
+    for coprime r, s and n >= 2. Dividing t^(rs) - t^(-rs) by t^r - t^(-r)
+    leaves the geometric sum t^(r(s-1)) + t^(r(s-3)) + ... + t^(-r(s-1)),
+    so the value is (t^(rs) - t^(-rs))^(n-2) times two such sums, built
+    term by term with no division.
     """
     if n < 2:
         raise InvalidParameters("double transform formula needs n >= 2")
@@ -301,9 +305,8 @@ def double_log_transform(n: int, r: int, s: int) -> SWInvariant:
         raise InvalidParameters("multiplicities must be >= 1")
     if math.gcd(r, s) != 1:
         raise InvalidParameters("multiplicities must be coprime")
-    num = _fiber_bracket(r * s) ** n
-    den = _fiber_bracket(r) * _fiber_bracket(s)
-    return SWInvariant(num, den, "closed").reduced()
+    return SWInvariant.closed(_bracket_power(r * s, n - 2) * _spread(s, r)
+                              * _spread(r, s))
 
 
 def mms_combine(p: int, q: int, r: int, sw_p: SWInvariant, sw_q: SWInvariant,
@@ -318,9 +321,8 @@ def mms_combine(p: int, q: int, r: int, sw_p: SWInvariant, sw_q: SWInvariant,
     total = LaurentPoly.zero(basis)
     for mult, part in zip((p, q, r), parts):
         term = part.value().extended(basis)
-        total = total + term * LaurentPoly.constant(basis, mult)
-    return SWInvariant.closed(total,
-                              all(x.simple_type for x in parts))
+        total = total + term * mult
+    return SWInvariant.closed(total, all(x.simple_type for x in parts))
 
 
 def wall_crossing_delta(dimension: int) -> int:
@@ -623,10 +625,7 @@ def from_manifold(desc: ManifoldDesc, *,
         m, n = desc.params
         if m == 2 or n == 2:
             return sw_elliptic(desc.chi_h)
-        k = LaurentPoly.variable(T_BASIS, "t")
-        sign = -1 if desc.chi_h % 2 else 1
-        return SWInvariant.closed(k + k.invert_variables() *
-                                  LaurentPoly.constant(T_BASIS, sign))
+        return SWInvariant.closed(_t_poly([(1, 1), (-1, (-1) ** desc.chi_h)]))
     if op == "connected_sum":
         a, b = desc.parents
         if a.invariants.b_plus >= 1 and b.invariants.b_plus >= 1:

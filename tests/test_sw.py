@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from swcalc.laurent import LaurentPoly, VarBasis, is_symmetric, parse_poly
+from swcalc.laurent import (LaurentPoly, VarBasis, exact_div, is_symmetric,
+                            parse_poly)
 from swcalc.manifolds import (CharInvariants, elliptic, horikawa, cp2,
                               cp2_bar, s2xs2, connected_sum, blowup,
                               fiber_sum, torus_surgery, knot_surgery,
@@ -30,6 +33,22 @@ T = VarBasis(T_BASIS)
 
 def tp(text, basis=T):
     return parse_poly(text, basis)
+
+
+def bracket(k):
+    return tp(f"t^{k} - t^-{k}")
+
+
+def log_transform_by_sum(sw, r):
+    """The log transform as the r-fold sum of powers of t, the reference
+    for the closed spread."""
+    v = LaurentPoly.variable(sw.basis, "t")
+    spread = LaurentPoly.zero(sw.basis)
+    for j in range(r):
+        spread = spread + v ** (r - 1 - 2 * j)
+    return SWInvariant(sw.num.substitute_power("t", r) * spread,
+                       sw.den.substitute_power("t", r), sw.kind,
+                       sw.simple_type).reduced_if_exact()
 
 
 class TestSWInvariant:
@@ -80,10 +99,10 @@ class TestElliptic:
     def test_small_values(self, n, expect):
         assert sw_elliptic(n).value() == tp(expect)
 
-    def test_power_structure(self):
-        base = tp("t - t^-1")
-        for n in range(2, 9):
-            assert sw_elliptic(n).value() == base ** (n - 2)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 60))
+    def test_power_structure(self, n):
+        assert sw_elliptic(n).value() == tp("t - t^-1") ** (n - 2)
 
     def test_e1_needs_chambers(self):
         with pytest.raises(RegimeError):
@@ -265,6 +284,43 @@ class TestLogTransforms:
         for (n, r, s) in [(2, 2, 3), (3, 2, 3), (2, 3, 5)]:
             v = double_log_transform(n, r, s).value()
             assert is_symmetric(v, sign=(-1) ** n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([
+        sw_elliptic(3),
+        sw_elliptic(4),
+        blowup_formula(sw_elliptic(3), ["e1", "e2"]),
+        t2d2_piece(),
+    ]), st.integers(1, 40))
+    def test_spread_matches_sum_of_powers(self, sw, r):
+        # t2d2_piece stays a pair: 1 / (t^-r - t^r) does not reduce
+        got = log_transform(sw, r)
+        want = log_transform_by_sum(sw, r)
+        assert (got.num, got.den, got.kind) == (want.num, want.den, want.kind)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 12), st.integers(1, 12))
+    def test_double_matches_exact_division(self, n, r, s):
+        assume(math.gcd(r, s) == 1)
+        want = exact_div(bracket(r * s) ** n, bracket(r) * bracket(s))
+        got = double_log_transform(n, r, s)
+        assert got.is_reduced()
+        assert got.value() == want
+
+    def test_large_parameters(self):
+        # facts that need no reference formula; the closed forms build these
+        # in well under a second
+        e = sw_elliptic(1000).value()
+        assert len(e) == 999
+        assert is_symmetric(e)
+        assert e.eval_at_one() == 0
+        assert e.coefficient({}) == -math.comb(998, 499)
+        for v, terms in [
+                (log_transform(sw_elliptic(2), 10**4).value(), 10**4),
+                (double_log_transform(2, 300, 301).value(), 90300)]:
+            assert len(v) == terms
+            assert is_symmetric(v)
+            assert v.eval_at_one() == terms
 
 
 class TestCombineAndWalls:
