@@ -192,7 +192,8 @@ _OPS = {
     },
     "sw": {
         "sw": (("manifold",),
-               lambda it, m: from_manifold(m, node_budget=it.node_budget)),
+               lambda it, m: from_manifold(m, node_budget=it.node_budget,
+                                           deltas=it._deltas)),
         "elliptic": (("int elliptic index",), lambda it, n: sw_elliptic(n)),
         "blowup_formula": (("sw", "*word a value and names"),
                            lambda it, s, *names: blowup_formula(s, names)),
@@ -283,8 +284,9 @@ class Interpreter:
         return self.values[kind][name]
 
     def _alexander(self, knot) -> LaurentPoly:
-        """The skein engine's Delta, computed once per diagram in a run. Only
-        results are kept, so a ResourceLimit is raised again at each use."""
+        """The skein engine's Delta, computed once per diagram in a run and
+        shared with the walker's knot-surgery nodes. Only results are kept,
+        so a ResourceLimit is raised again at each use."""
         delta = self._deltas.get(knot)
         if delta is None:
             delta = alexander_skein(knot, node_budget=self.node_budget)

@@ -23,7 +23,9 @@ t = 1 (for knots). They share no code beyond the polynomial type: the skein
 engine resolves diagrams against descending form, the Fox engine runs
 Wirtinger calculus and a fraction-free (Bareiss) determinant, polynomial
 time in the crossing count. Keeping the routes independent is the point; do
-not "simplify" one in terms of the other.
+not "simplify" one in terms of the other. Each skein node makes one pass
+over its crossings; the components it yields feed the split test and the
+memo key, and its head slots the walk to the first crossing met under-first.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import Mapping, Optional, Sequence
 
@@ -137,39 +140,36 @@ class LinkDiagram:
 
     # ---- traversal helpers ----
 
-    def _head_slots(self) -> dict:
-        """arc -> (crossing index, 'under'|'over') where the arc terminates."""
-        out = {}
-        for i in range(self.n_crossings):
-            out[self.under_in(i)] = (i, "under")
-            out[self.over_in(i)] = (i, "over")
-        return out
+    def _walk(self) -> tuple:
+        """One pass over the crossings: (heads, components()). heads maps
+        each arc to (crossing index, whether it ends there as under-strand).
+        """
+        heads = {}
+        succ = {}
+        for i, ((a, b, c, d), from_b) in enumerate(
+                zip(self.crossings, self.over_from_b)):
+            over_in, over_out = (b, d) if from_b else (d, b)
+            heads[a], heads[over_in] = (i, True), (i, False)
+            succ[a], succ[over_in] = c, over_out
+        cycles = []
+        for start in sorted(succ):
+            cyc = []
+            cur = start
+            while cur in succ:
+                cyc.append(cur)
+                cur = succ.pop(cur)
+            if cyc:
+                cycles.append(tuple(cyc))
+        return heads, cycles
 
     def components(self) -> list:
         """Arc cycles, one per link component meeting a crossing.
 
         Each cycle starts at its smallest arc and follows the orientation.
         Free loops are not listed (they have no arcs); component_count
-        includes them.
+        includes them. The same pass gives the skein engine its head slots.
         """
-        heads = self._head_slots()
-        succ = {}
-        for arc in heads:
-            i, role = heads[arc]
-            succ[arc] = self.under_out(i) if role == "under" else self.over_out(i)
-        seen = set()
-        cycles = []
-        for start in sorted(succ):
-            if start in seen:
-                continue
-            cyc = []
-            cur = start
-            while cur not in seen:
-                seen.add(cur)
-                cyc.append(cur)
-                cur = succ[cur]
-            cycles.append(tuple(cyc))
-        return cycles
+        return self._walk()[1]
 
     def component_count(self) -> int:
         return len(self.components()) + self.free_loops
@@ -191,12 +191,10 @@ class LinkDiagram:
 
     def smooth(self, i: int) -> "LinkDiagram":
         """Oriented resolution of crossing i (both strands pass, no crossing)."""
-        a = self.under_in(i)
-        c = self.under_out(i)
-        oi = self.over_in(i)
-        oo = self.over_out(i)
-        crossings = [cr for j, cr in enumerate(self.crossings) if j != i]
-        flags = [f for j, f in enumerate(self.over_from_b) if j != i]
+        a, b, c, d = self.crossings[i]
+        oi, oo = (b, d) if self.over_from_b[i] else (d, b)
+        crossings = self.crossings[:i] + self.crossings[i + 1:]
+        flags = self.over_from_b[:i] + self.over_from_b[i + 1:]
         loops = self.free_loops
         relabel = {}
         # incoming under joins outgoing over, incoming over joins outgoing under
@@ -209,9 +207,10 @@ class LinkDiagram:
         else:
             relabel[c] = oi
         if relabel:
-            crossings = [tuple(relabel.get(x, x) for x in cr)
-                         for cr in crossings]
-        return LinkDiagram(tuple(crossings), tuple(flags), loops)
+            g = relabel.get
+            crossings = tuple([(g(p, p), g(q, q), g(r, r), g(s, s))
+                               for p, q, r, s in crossings])
+        return LinkDiagram(crossings, flags, loops)
 
     def mirror(self) -> "LinkDiagram":
         d = self
@@ -232,37 +231,20 @@ class LinkDiagram:
         """
         d = self
         while True:
-            hit = None
-            for i in range(d.n_crossings):
-                if d.under_out(i) == d.over_in(i) or d.under_in(i) == d.over_out(i):
-                    hit = i
+            for i, ((a, b, c, e), from_b) in enumerate(
+                    zip(d.crossings, d.over_from_b)):
+                over_in, over_out = (b, e) if from_b else (e, b)
+                if c == over_in or a == over_out:
                     break
-            if hit is None:
+            else:
                 return d
-            d = d.smooth(hit)
+            d = d.smooth(i)
             d = LinkDiagram(d.crossings, d.over_from_b, d.free_loops - 1)
 
     def is_split_as_drawn(self) -> bool:
-        """True when the diagram visibly splits (crossing clusters or loops)."""
-        n = self.n_crossings
-        if n == 0:
-            return self.free_loops > 1
-        if self.free_loops > 0:
-            return True
-        arc_where: dict = {}
-        for i, cr in enumerate(self.crossings):
-            for arc in cr:
-                arc_where.setdefault(arc, []).append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for arc in self.crossings[i]:
-                for j in arc_where[arc]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-        return len(seen) < n
+        """True when the diagram visibly splits, read off components(): a free
+        loop beside crossings, or components no chain of crossings joins."""
+        return _split_as_drawn(self, self.components())
 
     def __str__(self) -> str:
         return to_pd(self)
@@ -530,25 +512,20 @@ def connect_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     x = max(d1.arcs())
     y = min(d2s.arcs())
     # swap the two heads: x now ends where y ended and vice versa
-    heads1 = d1._head_slots()
-    heads2 = d2s._head_slots()
-    xi, xrole = heads1[x]
-    yi, yrole = heads2[y]
+    xi, xunder = d1._walk()[0][x]
+    yi, yunder = d2s._walk()[0][y]
 
-    def replace_head(crossings, flags, idx, role, old, new):
+    def replace_head(crossings, flags, idx, under, old, new):
         cr = list(crossings[idx])
-        if role == "under":
-            slot = 0
-        else:
-            slot = 1 if flags[idx] else 3
+        slot = 0 if under else 1 if flags[idx] else 3
         assert cr[slot] == old
         cr[slot] = new
         out = list(crossings)
         out[idx] = tuple(cr)
         return out
 
-    crs1 = replace_head(list(d1.crossings), d1.over_from_b, xi, xrole, x, y)
-    crs2 = replace_head(list(d2s.crossings), d2s.over_from_b, yi, yrole, y, x)
+    crs1 = replace_head(list(d1.crossings), d1.over_from_b, xi, xunder, x, y)
+    crs2 = replace_head(list(d2s.crossings), d2s.over_from_b, yi, yunder, y, x)
     return LinkDiagram(tuple(crs1) + tuple(crs2),
                        d1.over_from_b + d2s.over_from_b,
                        d1.free_loops + d2s.free_loops).validate()
@@ -565,14 +542,16 @@ def canonical_form(diagram: LinkDiagram, *,
     polynomial; the skein engine uses it as its memo key, and to_pd prints
     it. It is not an isomorphism invariant: the same diagram under other
     labels may get a different form. A caller that already holds
-    diagram.components() may pass it as comps to skip that walk.
+    diagram.components() may pass it as comps to skip that walk, as each
+    skein node does; the relabelled crossings go straight into the result.
     """
-    relabel: dict = {}
+    r: dict = {}
     for cyc in diagram.components() if comps is None else comps:
         for arc in cyc:
-            relabel[arc] = len(relabel) + 1
-    out = diagram.relabeled(relabel)
-    ordered = sorted(zip(out.crossings, out.over_from_b))
+            r[arc] = len(r) + 1
+    ordered = sorted(zip([(r[a], r[b], r[c], r[d])
+                          for a, b, c, d in diagram.crossings],
+                         diagram.over_from_b))
     return LinkDiagram(tuple(cr for cr, _ in ordered),
                        tuple(flag for _, flag in ordered),
                        diagram.free_loops)
@@ -604,28 +583,48 @@ class ResolutionNode:
             yield from self.smooth_child.internal_nodes()
 
 
-def _skein_z() -> LaurentPoly:
-    return LaurentPoly.from_terms(
-        SKEIN_BASIS, [({"t": Fraction(1, 2)}, 1), ({"t": Fraction(-1, 2)}, -1)])
+_SKEIN_Z = LaurentPoly.from_terms(
+    SKEIN_BASIS, [({"t": Fraction(1, 2)}, 1), ({"t": Fraction(-1, 2)}, -1)])
+_ONE = LaurentPoly.one(SKEIN_BASIS)
+_ZERO = LaurentPoly.zero(SKEIN_BASIS)
 
 
-def _first_violation(diagram: LinkDiagram, comps: list) -> Optional[int]:
+def _split_as_drawn(diagram: LinkDiagram, comps: list) -> bool:
+    """is_split_as_drawn from comps, the diagram's components(): a knot
+    with crossings never splits; otherwise union the components meeting at
+    each crossing and split when more than one class is left."""
+    if not diagram.crossings:
+        return diagram.free_loops > 1
+    if diagram.free_loops:
+        return True
+    if len(comps) == 1:
+        return False
+    comp_of = {arc: k for k, cyc in enumerate(comps) for arc in cyc}
+    label = list(range(len(comps)))
+    for a, b, _, _ in diagram.crossings:
+        x, y = label[comp_of[a]], label[comp_of[b]]
+        if x != y:
+            label = [x if k == y else k for k in label]
+    return len(set(label)) > 1
+
+
+def _first_violation(heads: dict, comps: list) -> Optional[int]:
     """Index of the first crossing met under-first on the canonical walk
-    along comps, the diagram's components()."""
-    heads = diagram._head_slots()
-    visited = set()
-    seen_arcs = set()
+    along comps; heads and comps are one LinkDiagram._walk()."""
+    over_first = set()
     for cyc in comps:
         for arc in cyc:
-            if arc in seen_arcs:
-                continue
-            seen_arcs.add(arc)
-            i, role = heads[arc]
-            if i not in visited:
-                visited.add(i)
-                if role == "under":
-                    return i
+            i, under = heads[arc]
+            if not under:
+                over_first.add(i)
+            elif i not in over_first:
+                return i
     return None
+
+
+def _leaf(d: LinkDiagram, knot: bool) -> ResolutionNode:
+    return ResolutionNode(d, "descending" if knot else "split",
+                          _ONE if knot else _ZERO)
 
 
 class _SkeinState:
@@ -644,20 +643,16 @@ def _skein_eval(diagram: LinkDiagram, state: _SkeinState) -> ResolutionNode:
             f"skein resolution exceeded the node budget ({state.budget})")
 
     d = diagram.reduce_kinks()
-    if d.n_crossings == 0:
-        total = d.free_loops
-        value = (LaurentPoly.one(SKEIN_BASIS) if total == 1
-                 else LaurentPoly.zero(SKEIN_BASIS))
-        return ResolutionNode(d, "descending" if total == 1 else "split", value)
-    if d.is_split_as_drawn():
-        return ResolutionNode(d, "split", LaurentPoly.zero(SKEIN_BASIS))
+    if not d.crossings:
+        return _leaf(d, d.free_loops == 1)
+    heads, comps = d._walk()     # one pass for every structural question
+    if _split_as_drawn(d, comps):
+        return ResolutionNode(d, "split", _ZERO)
 
     # the memo key is a relabeling of d, so equal keys mean diagrams that
     # differ only by labels and have the same polynomial. The walk below runs
     # on d's own labels: switching preserves them, so the first violation
-    # moves strictly later and the resolution terminates. The key and the
-    # walk share one components() call
-    comps = d.components()
+    # moves strictly later and the resolution terminates
     ckey = canonical_form(d, comps=comps)
     key = (ckey.crossings, ckey.over_from_b, ckey.free_loops)
     hit = state.memo.get(key)
@@ -666,19 +661,17 @@ def _skein_eval(diagram: LinkDiagram, state: _SkeinState) -> ResolutionNode:
         # internal_nodes may yield a node more than once
         return hit
 
-    violation = _first_violation(d, comps)
+    violation = _first_violation(heads, comps)
     if violation is None:
-        knot = len(comps) + d.free_loops == 1
-        value = (LaurentPoly.one(SKEIN_BASIS) if knot
-                 else LaurentPoly.zero(SKEIN_BASIS))
-        node = ResolutionNode(d, "descending" if knot else "split", value)
+        node = _leaf(d, len(comps) + d.free_loops == 1)
         state.memo[key] = node
         return node
 
     sign = d.sign(violation)
     switch_node = _skein_eval(d.switch(violation), state)
     smooth_node = _skein_eval(d.smooth(violation), state)
-    value = switch_node.value + sign * (_skein_z() * smooth_node.value)
+    z_smooth = _SKEIN_Z * smooth_node.value
+    value = switch_node.value + (z_smooth if sign > 0 else -z_smooth)
     node = ResolutionNode(d, "resolve", value, crossing=violation, sign=sign,
                           switch_child=switch_node, smooth_child=smooth_node)
     state.memo[key] = node
@@ -824,14 +817,14 @@ def load_knot_table(path: Optional[str] = None) -> dict:
     """Read a knot table file: one "name: pd X(...) X(...)" entry per line.
 
     Blank lines and lines starting with # are skipped. Without a path the
-    bundled table ships with the package.
+    bundled table ships with the package; it is parsed once per process and
+    each call gets a fresh dict of its (frozen) diagrams. A path is read at
+    every call.
     """
     if path is None:
-        source = resources.files("swcalc").joinpath("data/knot_table.txt")
-        text = source.read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        return dict(_bundled_table())
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     table = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -845,3 +838,10 @@ def load_knot_table(path: Optional[str] = None) -> dict:
             raise ParseError(f"duplicate knot table entry {name!r}")
         table[name] = parse_pd(pd_text)
     return table
+
+
+@lru_cache(maxsize=None)
+def _bundled_table() -> dict:
+    source = resources.files("swcalc").joinpath("data/knot_table.txt")
+    with resources.as_file(source) as path:
+        return load_knot_table(str(path))

@@ -591,28 +591,45 @@ def _has_prior_transform(node: ManifoldDesc, label: str) -> bool:
     return False
 
 
-def _relative_value(node: ManifoldDesc, budget: int) -> SWInvariant:
+def _delta(diagram, budget: int, deltas: Optional[dict]) -> LaurentPoly:
+    """The skein engine's Delta of diagram, read from and kept in deltas
+    when a table is given. Only successes are kept."""
+    if deltas is None:
+        return alexander_skein(diagram, node_budget=budget)
+    delta = deltas.get(diagram)
+    if delta is None:
+        delta = deltas[diagram] = alexander_skein(diagram, node_budget=budget)
+    return delta
+
+
+def _relative_value(node: ManifoldDesc, budget: int,
+                    deltas: Optional[dict]) -> SWInvariant:
     """Relative invariant of the fiber complement of node."""
     if node.op == "E" and node.params == (1,):
         return e1_relative()
     if node.op == "knot_surgery":
         label, diagram = node.params
-        delta = alexander_skein(diagram, node_budget=budget)
-        return knot_surgery_formula(_relative_value(node.parents[0], budget),
-                                    delta)
+        delta = _delta(diagram, budget, deltas)
+        return knot_surgery_formula(
+            _relative_value(node.parents[0], budget, deltas), delta)
     if node.op == "blowup":
-        return blowup_formula(_relative_value(node.parents[0], budget),
+        return blowup_formula(_relative_value(node.parents[0], budget, deltas),
                               _added_exceptional_names(node))
-    return relative_from_closed(from_manifold(node, node_budget=budget))
+    return relative_from_closed(
+        from_manifold(node, node_budget=budget, deltas=deltas))
 
 
 def from_manifold(desc: ManifoldDesc, *,
-                  node_budget: int = DEFAULT_NODE_BUDGET) -> SWInvariant:
+                  node_budget: int = DEFAULT_NODE_BUDGET,
+                  deltas: Optional[dict] = None) -> SWInvariant:
     """Closed Seiberg-Witten invariant of a manifold description.
 
     Raises RegimeError outside b+ > 1 and UnsupportedForSW where the value
     is not determined by the tracked data (orientation reversal, rational
     blowdowns without intersection data, repeated transforms on one torus).
+    deltas, if given, is a diagram -> Alexander polynomial table that the
+    knot-surgery nodes read and fill (the CLI passes its per-run table);
+    without it each knot-surgery node runs the skein engine.
     """
     op = desc.op
     if op in ("CP2", "S2xS2"):
@@ -636,24 +653,26 @@ def from_manifold(desc: ManifoldDesc, *,
             "connected sums with a definite summand are blowups; build them "
             "with the blowup operation")
     if op == "blowup":
-        base = from_manifold(desc.parents[0], node_budget=node_budget)
+        base = from_manifold(desc.parents[0], node_budget=node_budget,
+                             deltas=deltas)
         return blowup_formula(base, _added_exceptional_names(desc))
     if op == "fiber_sum":
         a, b = desc.parents
-        return glue(_relative_value(a, node_budget),
-                    _relative_value(b, node_budget))
+        return glue(_relative_value(a, node_budget, deltas),
+                    _relative_value(b, node_budget, deltas))
     if op == "knot_surgery":
         label, diagram = desc.params
-        base = from_manifold(desc.parents[0], node_budget=node_budget)
-        delta = alexander_skein(diagram, node_budget=node_budget)
-        return knot_surgery_formula(base, delta)
+        base = from_manifold(desc.parents[0], node_budget=node_budget,
+                             deltas=deltas)
+        return knot_surgery_formula(base, _delta(diagram, node_budget, deltas))
     if op == "torus_surgery":
         label, p, q, r = desc.params
         if _has_prior_transform(desc, label):
             raise UnsupportedForSW(
                 "two transforms on one torus do not compose variable-wise; "
                 "use double_log_transform for the two-parameter formula")
-        base = from_manifold(desc.parents[0], node_budget=node_budget)
+        base = from_manifold(desc.parents[0], node_budget=node_budget,
+                             deltas=deltas)
         return log_transform(base, r)
     if op == "rational_blowdown":
         raise UnsupportedForSW(

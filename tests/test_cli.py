@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from swcalc import cli
+from swcalc import sw as sw_module
 from swcalc.errors import KindError, ScriptError
 from swcalc.knots import braid_closure, figure_eight, trefoil
 
@@ -309,6 +310,32 @@ class TestAlexanderOncePerKnot:
             "Delta: t - 1 + t^-1", "Delta: -t + 3 - t^-1",
             "ok: assert alexander_is(K, -t + 3 - t^-1)"]
         assert len(calls) == 2
+
+    def test_walker_shares_the_run_table(self, monkeypatch):
+        calls = _count_skein(monkeypatch)
+        walker = []
+        original = sw_module.alexander_skein
+        monkeypatch.setattr(sw_module, "alexander_skein",
+                            lambda k, **kw: walker.append(k) or
+                            original(k, **kw))
+        src = ("knot K = trefoil\n"
+               "print alexander K\n"
+               "manifold E = E(2)\n"
+               "manifold X = knot_surgery(E, F, K)\n"
+               "sw S = sw(X)\n"
+               "manifold G = fiber_sum(X, E)\n"
+               "sw S2 = sw(G)\n"
+               "knot J = figure8\n"
+               "manifold Y = knot_surgery(E, F, J)\n"
+               "sw T = sw(Y)\n"
+               "sw T2 = sw(Y)\n"
+               "assert alexander_is(J, -t + 3 - t^-1)\n"
+               "assert sw_is(S, t^2 - 1 + t^-2)\n")
+        out = io.StringIO()
+        assert cli.run_script(src, out=out) == 0, out.getvalue()
+        # K's Delta comes from the print, J's from the first sw(Y)
+        assert calls == [trefoil()]
+        assert walker == [figure_eight()]
 
     def test_each_run_computes_again(self, monkeypatch):
         calls = _count_skein(monkeypatch)

@@ -2,13 +2,16 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
-from swcalc.knots import (LinkDiagram, _det, _fox_matrix, alexander_fox,
-                          alexander_skein, braid_closure, canonical_form,
-                          connect_sum, figure_eight, hopf_link,
-                          load_knot_table, mirror, parse_pd, pretzel,
-                          skein_resolution, to_pd, torus_knot, trefoil,
-                          twist_knot, unknot)
+from swcalc import knots as knots_module
+from swcalc.knots import (DEFAULT_NODE_BUDGET, LinkDiagram, ResolutionNode,
+                          _SkeinState, _det, _fox_matrix, _skein_eval,
+                          alexander_fox, alexander_skein, braid_closure,
+                          canonical_form, connect_sum, figure_eight,
+                          hopf_link, load_knot_table, mirror, parse_pd,
+                          pretzel, skein_resolution, to_pd, torus_knot,
+                          trefoil, twist_knot, unknot)
 from swcalc.laurent import LaurentPoly, VarBasis, is_symmetric, parse_poly
 from swcalc.errors import (InvalidPD, NotAKnot, ParseError, ResourceLimit,
                            InvalidParameters)
@@ -325,6 +328,28 @@ class TestFoxEngine:
             assert alexander_skein(diagram) == alexander_fox(diagram), name
 
 
+class TestKnotTable:
+    def test_bundled_table_parsed_once_fresh_dict_each_call(self,
+                                                            monkeypatch):
+        first = load_knot_table()
+        parses = []
+        monkeypatch.setattr(knots_module, "parse_pd",
+                            lambda text: parses.append(text) or
+                            parse_pd(text))
+        first["mine"] = trefoil()
+        second = load_knot_table()
+        assert parses == []
+        assert "mine" not in second and second is not first
+        assert all(second[name] is first[name] for name in second)
+
+    def test_a_path_is_read_at_every_call(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text(f"tref: pd {TREFOIL_PD}\n")
+        assert load_knot_table(str(path)) == {"tref": parse_pd(TREFOIL_PD)}
+        path.write_text("# emptied\n")
+        assert load_knot_table(str(path)) == {}
+
+
 def _dense_det(matrix):
     """_det of a dense matrix of polynomial texts."""
     rows = [{j: tp(entry) for j, entry in enumerate(row)} for row in matrix]
@@ -455,3 +480,272 @@ class TestCanonicalForm:
         assert c.component_count() == d.component_count()
         assert sorted(c.over_from_b) == sorted(d.over_from_b)
         assert to_pd(c) == to_pd(d)
+
+
+# ---- the skein engine against a frozen copy of its earlier per-node code ----
+#
+# Before each node made one pass over its crossings, it found its head slots
+# twice (for components() and for the violation walk), tested splitting by a
+# BFS over crossings sharing an arc, and built canonical_form through an
+# intermediate relabeled() diagram. That code is kept here, standalone, as the
+# reference the engine must match node for node.
+
+_OLD_Z = LaurentPoly.from_terms(T, [({"t": Fraction(1, 2)}, 1),
+                                    ({"t": Fraction(-1, 2)}, -1)])
+
+
+def _old_over_in(d, i):
+    a, b, c, e = d.crossings[i]
+    return b if d.over_from_b[i] else e
+
+
+def _old_over_out(d, i):
+    a, b, c, e = d.crossings[i]
+    return e if d.over_from_b[i] else b
+
+
+def _old_head_slots(d):
+    out = {}
+    for i in range(len(d.crossings)):
+        out[d.crossings[i][0]] = (i, "under")
+        out[_old_over_in(d, i)] = (i, "over")
+    return out
+
+
+def _old_components(d):
+    heads = _old_head_slots(d)
+    succ = {}
+    for arc, (i, role) in heads.items():
+        succ[arc] = (d.crossings[i][2] if role == "under"
+                     else _old_over_out(d, i))
+    seen, cycles = set(), []
+    for start in sorted(succ):
+        if start in seen:
+            continue
+        cyc, cur = [], start
+        while cur not in seen:
+            seen.add(cur)
+            cyc.append(cur)
+            cur = succ[cur]
+        cycles.append(tuple(cyc))
+    return cycles
+
+
+def _old_switch(d, i):
+    a, b, c, e = d.crossings[i]
+    new = ((b, c, e, a), False) if d.over_from_b[i] else ((e, a, b, c), True)
+    crossings, flags = list(d.crossings), list(d.over_from_b)
+    crossings[i], flags[i] = new
+    return LinkDiagram(tuple(crossings), tuple(flags), d.free_loops)
+
+
+def _old_smooth(d, i):
+    a, c = d.crossings[i][0], d.crossings[i][2]
+    oi, oo = _old_over_in(d, i), _old_over_out(d, i)
+    crossings = [cr for j, cr in enumerate(d.crossings) if j != i]
+    flags = [f for j, f in enumerate(d.over_from_b) if j != i]
+    loops, relabel = d.free_loops, {}
+    if a == oo:
+        loops += 1
+    else:
+        relabel[oo] = a
+    if oi == c:
+        loops += 1
+    else:
+        relabel[c] = oi
+    crossings = [tuple(relabel.get(x, x) for x in cr) for cr in crossings]
+    return LinkDiagram(tuple(crossings), tuple(flags), loops)
+
+
+def _old_reduce_kinks(d):
+    while True:
+        hit = next((i for i in range(len(d.crossings))
+                    if d.crossings[i][2] == _old_over_in(d, i)
+                    or d.crossings[i][0] == _old_over_out(d, i)), None)
+        if hit is None:
+            return d
+        d = _old_smooth(d, hit)
+        d = LinkDiagram(d.crossings, d.over_from_b, d.free_loops - 1)
+
+
+def _old_is_split(d):
+    n = len(d.crossings)
+    if n == 0:
+        return d.free_loops > 1
+    if d.free_loops > 0:
+        return True
+    arc_where = {}
+    for i, cr in enumerate(d.crossings):
+        for arc in cr:
+            arc_where.setdefault(arc, []).append(i)
+    seen, stack = {0}, [0]
+    while stack:
+        for arc in d.crossings[stack.pop()]:
+            for j in arc_where[arc]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return len(seen) < n
+
+
+def _old_canonical(d, comps=None):
+    relabel = {}
+    for cyc in _old_components(d) if comps is None else comps:
+        for arc in cyc:
+            relabel[arc] = len(relabel) + 1
+    out = d.relabeled(relabel)
+    ordered = sorted(zip(out.crossings, out.over_from_b))
+    return LinkDiagram(tuple(cr for cr, _ in ordered),
+                       tuple(flag for _, flag in ordered), d.free_loops)
+
+
+def _old_first_violation(d, comps):
+    heads, visited, seen_arcs = _old_head_slots(d), set(), set()
+    for cyc in comps:
+        for arc in cyc:
+            if arc in seen_arcs:
+                continue
+            seen_arcs.add(arc)
+            i, role = heads[arc]
+            if i not in visited:
+                visited.add(i)
+                if role == "under":
+                    return i
+    return None
+
+
+class _OldState:
+    def __init__(self, budget):
+        self.memo, self.budget, self.used = {}, budget, 0
+
+
+def _old_eval(diagram, state):
+    state.used += 1
+    if state.used > state.budget:
+        raise ResourceLimit("node budget")
+    one, zero = LaurentPoly.one(T), LaurentPoly.zero(T)
+    d = _old_reduce_kinks(diagram)
+    if d.n_crossings == 0:
+        total = d.free_loops
+        return ResolutionNode(d, "descending" if total == 1 else "split",
+                              one if total == 1 else zero)
+    if _old_is_split(d):
+        return ResolutionNode(d, "split", zero)
+    comps = _old_components(d)
+    ckey = _old_canonical(d, comps)
+    key = (ckey.crossings, ckey.over_from_b, ckey.free_loops)
+    if key in state.memo:
+        return state.memo[key]
+    violation = _old_first_violation(d, comps)
+    if violation is None:
+        knot = len(comps) + d.free_loops == 1
+        node = ResolutionNode(d, "descending" if knot else "split",
+                              one if knot else zero)
+    else:
+        sign = 1 if d.over_from_b[violation] else -1
+        sw = _old_eval(_old_switch(d, violation), state)
+        sm = _old_eval(_old_smooth(d, violation), state)
+        value = sw.value + sign * (_OLD_Z * sm.value)
+        node = ResolutionNode(d, "resolve", value,
+                              crossing=violation, sign=sign,
+                              switch_child=sw, smooth_child=sm)
+    state.memo[key] = node
+    return node
+
+
+def _old_to_pd(d):
+    if d.free_loops or not d.crossings:
+        return None
+    out = _old_canonical(d)
+    text = " ".join("X({},{},{},{})".format(*cr) for cr in out.crossings)
+    try:
+        return text if parse_pd(text) == out else None
+    except InvalidPD:
+        return None
+
+
+def _same_tree(new, old):
+    """Walk two resolution DAGs in step; each pair of shared nodes once."""
+    seen, stack = set(), [(new, old)]
+    while stack:
+        a, b = stack.pop()
+        if (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        assert ((a.kind, a.crossing, a.sign, a.value, a.diagram)
+                == (b.kind, b.crossing, b.sign, b.value, b.diagram))
+        assert (a.switch_child is None) == (b.switch_child is None)
+        if a.switch_child is not None:
+            stack += [(a.switch_child, b.switch_child),
+                      (a.smooth_child, b.smooth_child)]
+    return len(seen)
+
+
+@st.composite
+def _braid_diagrams(draw):
+    """Closed braids on 2-5 strands, unused strands closing into free
+    loops; short enough that the skein tree stays small."""
+    strands = draw(st.integers(2, 5))
+    word = draw(st.lists(
+        st.integers(1, strands - 1).flatmap(
+            lambda i: st.sampled_from((i, -i))), max_size=9))
+    return braid_closure(word, strands)
+
+
+class TestOnePassMatchesEarlierNodes:
+    @settings(max_examples=300, deadline=None)
+    @given(_braid_diagrams())
+    def test_tree_used_and_budget(self, d):
+        state = _SkeinState(None, DEFAULT_NODE_BUDGET)
+        new = _skein_eval(d, state)
+        old_state = _OldState(DEFAULT_NODE_BUDGET)
+        old = _old_eval(d, old_state)
+        assert state.used == old_state.used
+        _same_tree(new, old)
+        assert alexander_skein(d, node_budget=state.used) == old.value
+        if state.used > 1:
+            with pytest.raises(ResourceLimit):
+                alexander_skein(d, node_budget=state.used - 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_braid_diagrams(), st.lists(st.tuples(st.integers(0, 99),
+                                                 st.booleans()),
+                                       max_size=4))
+    def test_structure_after_moves(self, d, moves):
+        # switches and smoothings make kinks, splits and free loops
+        for k, smooth in moves:
+            if not d.crossings:
+                break
+            i = k % d.n_crossings
+            d = d.smooth(i) if smooth else d.switch(i)
+        for e in (d, d.reduce_kinks()):
+            assert e.reduce_kinks() == _old_reduce_kinks(e)
+            assert e.is_split_as_drawn() == _old_is_split(e)
+            assert e.components() == _old_components(e)
+            assert canonical_form(e) == _old_canonical(e)
+            expect = _old_to_pd(e)
+            if expect is None:
+                with pytest.raises(InvalidPD):
+                    to_pd(e)
+            else:
+                assert to_pd(e) == expect
+
+    def test_draws_reach_every_shape(self):
+        # the cases the strategy is meant to cover all occur in a fixed sample
+        rng = random.Random(12)
+        shapes = set()
+        for _ in range(400):
+            strands = rng.randint(2, 5)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(0, 9))]
+            d = braid_closure(word, strands)
+            shapes.add("knot" if d.component_count() == 1 else "link")
+            if d.free_loops:
+                shapes.add("free loops")
+            if d.reduce_kinks() != d:
+                shapes.add("kinks")
+            if d.is_split_as_drawn():
+                shapes.add("split")
+            assert _same_tree(skein_resolution(d),
+                              _old_eval(d, _OldState(DEFAULT_NODE_BUDGET)))
+        assert shapes == {"knot", "link", "free loops", "kinks", "split"}

@@ -11,7 +11,8 @@ from swcalc.manifolds import (CharInvariants, elliptic, horikawa, cp2,
                               fiber_sum, torus_surgery, knot_surgery,
                               rational_blowdown, reverse_orientation)
 from swcalc import sw as sw_module
-from swcalc.knots import trefoil, twist_knot, figure_eight, alexander_skein
+from swcalc.knots import (trefoil, twist_knot, figure_eight,
+                          alexander_skein, torus_knot)
 from swcalc.sw import (SWInvariant, T_BASIS, sw_elliptic,
                        relative_from_closed, e1_relative, t2d2_piece, glue,
                        blowup_formula, knot_surgery_formula, log_transform,
@@ -590,6 +591,41 @@ class TestWalker:
     def test_knot_surgery(self):
         x = knot_surgery(elliptic(2), "F", trefoil())
         assert from_manifold(x).value() == tp("t^2 - 1 + t^-2")
+
+    def test_knot_surgery_reads_and_fills_the_table(self, monkeypatch):
+        # a table entry is used as given: a figure-eight Delta filed under
+        # the trefoil changes the value, on both the closed and the fiber
+        # complement path
+        runs = []
+        monkeypatch.setattr(sw_module, "alexander_skein",
+                            lambda k, **kw: runs.append(k) or
+                            alexander_skein(k, **kw))
+        x = knot_surgery(elliptic(2), "F", trefoil())
+        glued = fiber_sum(x, elliptic(2))
+        planted = {trefoil(): alexander_skein(figure_eight())}
+        fig8 = knot_surgery(elliptic(2), "F", figure_eight())
+        assert (from_manifold(x, deltas=planted).value()
+                == from_manifold(fig8).value())
+        assert (from_manifold(glued, deltas=planted).value()
+                == from_manifold(fiber_sum(fig8, elliptic(2))).value())
+        assert runs == [figure_eight(), figure_eight()]
+        table = {}
+        assert (from_manifold(glued, deltas=table).value()
+                == from_manifold(glued).value())
+        assert table == {trefoil(): tp("t - 1 + t^-1")}
+        runs.clear()
+        from_manifold(x, deltas=table)
+        assert runs == []
+
+    def test_budget_failure_is_not_kept_in_the_table(self):
+        table = {}
+        x = knot_surgery(elliptic(2), "F", torus_knot(3, 5))
+        for _ in range(2):
+            with pytest.raises(ResourceLimit):
+                from_manifold(x, node_budget=10, deltas=table)
+            assert table == {}
+        from_manifold(x, deltas=table)
+        assert list(table) == [torus_knot(3, 5)]
 
     def test_torus_surgery_is_log_transform(self):
         x = torus_surgery(elliptic(2), "F", 1, 0, 3)
