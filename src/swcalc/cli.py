@@ -78,6 +78,7 @@ from .manifolds import (
 from .sw import (
     ConfigIntersections,
     SWInvariant,
+    _delta,
     blowup_formula,
     descend,
     double_log_transform,
@@ -285,13 +286,10 @@ class Interpreter:
 
     def _alexander(self, knot) -> LaurentPoly:
         """The skein engine's Delta, computed once per diagram in a run and
-        shared with the walker's knot-surgery nodes. Only results are kept,
-        so a ResourceLimit is raised again at each use."""
-        delta = self._deltas.get(knot)
-        if delta is None:
-            delta = alexander_skein(knot, node_budget=self.node_budget)
-            self._deltas[knot] = delta
-        return delta
+        shared with the walker's knot-surgery nodes (sw._delta holds the
+        rule). The engine is looked up here, in this module, so a wrapper
+        set on swcalc.cli after import sees the call."""
+        return _delta(knot, self.node_budget, self._deltas, alexander_skein)
 
     def _table_knot(self, entry: str):
         if self._table is None:

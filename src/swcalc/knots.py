@@ -125,8 +125,7 @@ class LinkDiagram:
     def validate(self) -> "LinkDiagram":
         """Check the structural invariants; return self for chaining."""
         count = _arc_counts(self.crossings)
-        heads: dict = {}
-        tails: dict = {}
+        heads, tails = {}, {}
         for i in range(self.n_crossings):
             for arc in (self.under_in(i), self.over_in(i)):
                 heads[arc] = heads.get(arc, 0) + 1
@@ -141,9 +140,9 @@ class LinkDiagram:
     # ---- traversal helpers ----
 
     def _walk(self) -> tuple:
-        """One pass over the crossings: (heads, components()). heads maps
-        each arc to (crossing index, whether it ends there as under-strand).
-        """
+        """One pass over the crossings: (heads, components()), or InvalidPD
+        when a strand does not close. heads maps each arc to (crossing index,
+        whether it ends there as under-strand)."""
         heads = {}
         succ = {}
         for i, ((a, b, c, d), from_b) in enumerate(
@@ -153,11 +152,12 @@ class LinkDiagram:
             succ[a], succ[over_in] = c, over_out
         cycles = []
         for start in sorted(succ):
-            cyc = []
-            cur = start
+            cyc, cur = [], start
             while cur in succ:
                 cyc.append(cur)
                 cur = succ.pop(cur)
+            if cur != start:
+                raise InvalidPD(f"the strand leaving arc {start} never closes")
             if cyc:
                 cycles.append(tuple(cyc))
         return heads, cycles
@@ -543,7 +543,7 @@ def canonical_form(diagram: LinkDiagram, *,
     it. It is not an isomorphism invariant: the same diagram under other
     labels may get a different form. A caller that already holds
     diagram.components() may pass it as comps to skip that walk, as each
-    skein node does; the relabelled crossings go straight into the result.
+    skein node does; comps must then cover every arc (KeyError otherwise).
     """
     r: dict = {}
     for cyc in diagram.components() if comps is None else comps:

@@ -591,25 +591,24 @@ def _has_prior_transform(node: ManifoldDesc, label: str) -> bool:
     return False
 
 
-def _delta(diagram, budget: int, deltas: Optional[dict]) -> LaurentPoly:
-    """The skein engine's Delta of diagram, read from and kept in deltas
-    when a table is given. Only successes are kept."""
-    if deltas is None:
-        return alexander_skein(diagram, node_budget=budget)
+def _delta(diagram, budget: int, deltas: dict, skein) -> LaurentPoly:
+    """Delta of diagram, read from deltas or computed by skein (the caller's
+    alexander_skein) and kept there. Only successes are kept, so a
+    ResourceLimit is raised again at each use."""
     delta = deltas.get(diagram)
     if delta is None:
-        delta = deltas[diagram] = alexander_skein(diagram, node_budget=budget)
+        delta = deltas[diagram] = skein(diagram, node_budget=budget)
     return delta
 
 
 def _relative_value(node: ManifoldDesc, budget: int,
-                    deltas: Optional[dict]) -> SWInvariant:
+                    deltas: dict) -> SWInvariant:
     """Relative invariant of the fiber complement of node."""
     if node.op == "E" and node.params == (1,):
         return e1_relative()
     if node.op == "knot_surgery":
         label, diagram = node.params
-        delta = _delta(diagram, budget, deltas)
+        delta = _delta(diagram, budget, deltas, alexander_skein)
         return knot_surgery_formula(
             _relative_value(node.parents[0], budget, deltas), delta)
     if node.op == "blowup":
@@ -627,10 +626,13 @@ def from_manifold(desc: ManifoldDesc, *,
     Raises RegimeError outside b+ > 1 and UnsupportedForSW where the value
     is not determined by the tracked data (orientation reversal, rational
     blowdowns without intersection data, repeated transforms on one torus).
-    deltas, if given, is a diagram -> Alexander polynomial table that the
-    knot-surgery nodes read and fill (the CLI passes its per-run table);
-    without it each knot-surgery node runs the skein engine.
+    deltas is a diagram -> Alexander polynomial table that the knot-surgery
+    nodes read and fill; the CLI passes its per-run table, and a call
+    without one starts a fresh table, so each distinct knot runs the skein
+    engine once per call.
     """
+    if deltas is None:
+        deltas = {}
     op = desc.op
     if op in ("CP2", "S2xS2"):
         raise RegimeError(f"{op} has b+ = 1; no chamber-free invariant")
@@ -664,7 +666,8 @@ def from_manifold(desc: ManifoldDesc, *,
         label, diagram = desc.params
         base = from_manifold(desc.parents[0], node_budget=node_budget,
                              deltas=deltas)
-        return knot_surgery_formula(base, _delta(diagram, node_budget, deltas))
+        return knot_surgery_formula(
+            base, _delta(diagram, node_budget, deltas, alexander_skein))
     if op == "torus_surgery":
         label, p, q, r = desc.params
         if _has_prior_transform(desc, label):

@@ -63,6 +63,19 @@ class TestParsePD:
         d = parse_pd("X(2,4,1,3) X(3,1,4,2)")
         assert d.component_count() == 2
 
+    def test_unvalidated_diagram_with_an_open_strand(self):
+        # built without validate(): arc 3 leaves the crossing and never
+        # comes back, so no structural question has an answer
+        d = LinkDiagram(((1, 2, 3, 4),), (True,))
+        for ask in (d.components, d.component_count, d.is_split_as_drawn,
+                    lambda: to_pd(d), lambda: alexander_skein(d)):
+            with pytest.raises(InvalidPD, match="never closes"):
+                ask()
+
+    def test_canonical_form_needs_comps_covering_every_arc(self):
+        with pytest.raises(KeyError):
+            canonical_form(trefoil(), comps=[(1,)])
+
 
 class TestBuilders:
     def test_unknot(self):

@@ -617,6 +617,19 @@ class TestWalker:
         from_manifold(x, deltas=table)
         assert runs == []
 
+    def test_call_without_a_table_starts_its_own(self, monkeypatch):
+        # a knot used twice in one manifold is resolved once per call
+        runs = []
+        monkeypatch.setattr(sw_module, "alexander_skein",
+                            lambda k, **kw: runs.append(k) or
+                            alexander_skein(k, **kw))
+        x = knot_surgery(elliptic(2), "F", trefoil())
+        doubled = fiber_sum(x, x)
+        for _ in range(2):
+            assert from_manifold(doubled).value() == from_manifold(
+                doubled, deltas={trefoil(): tp("t - 1 + t^-1")}).value()
+        assert runs == [trefoil(), trefoil()]
+
     def test_budget_failure_is_not_kept_in_the_table(self):
         table = {}
         x = knot_surgery(elliptic(2), "F", torus_knot(3, 5))
