@@ -359,14 +359,15 @@ class LaurentPoly:
                                       {tuple(-e for e in vec): c})
                     return inv ** (-n)
             raise InexactDivision("negative power of a non-unit")
-        result = LaurentPoly.one(self.basis)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return LaurentPoly.one(self.basis) if result is None else result
 
     # ---- structural operations ----
 

@@ -88,8 +88,8 @@ class CharInvariants:
 
     @property
     def chi_h(self) -> Union[int, Fraction]:
-        v = Fraction(self.euler + self.sigma, 4)
-        return int(v) if v.denominator == 1 else v
+        q, rem = divmod(self.euler + self.sigma, 4)
+        return Fraction(self.euler + self.sigma, 4) if rem else q
 
     @property
     def c(self) -> int:

@@ -607,8 +607,7 @@ def _relative_value(node: ManifoldDesc, budget: int,
     if node.op == "E" and node.params == (1,):
         return e1_relative()
     if node.op == "knot_surgery":
-        label, diagram = node.params
-        delta = _delta(diagram, budget, deltas, alexander_skein)
+        delta = _delta(node.params[1], budget, deltas, alexander_skein)
         return knot_surgery_formula(
             _relative_value(node.parents[0], budget, deltas), delta)
     if node.op == "blowup":
@@ -616,6 +615,57 @@ def _relative_value(node: ManifoldDesc, budget: int,
                               _added_exceptional_names(node))
     return relative_from_closed(
         from_manifold(node, node_budget=budget, deltas=deltas))
+
+
+def _block_leaves(desc: ManifoldDesc) -> list:
+    """(leaf, multiplicity) pairs of the fiber-sum block at desc: its
+    non-fiber_sum nodes in order of first visit, left side first, each
+    counted once per path from desc (a shared node is walked once)."""
+    seen, sums, stack = {}, [], [(desc, False)]    # sums in postorder
+    while stack:
+        node, done = stack.pop()
+        if done:
+            sums.append(node)
+        elif id(node) not in seen:
+            seen[id(node)] = node
+            if node.op == "fiber_sum":
+                stack.append((node, True))
+                stack.extend((p, False) for p in reversed(node.parents))
+    paths = {id(desc): 1}
+    for node in reversed(sums):
+        for parent in node.parents:
+            paths[id(parent)] = paths.get(id(parent), 0) + paths[id(node)]
+    return [(node, paths[key]) for key, node in seen.items()
+            if node.op != "fiber_sum"]
+
+
+def _fiber_sum_block(desc: ManifoldDesc, budget: int,
+                     deltas: dict) -> SWInvariant:
+    """(t^-1 - t)^(n-2) * prod rel(L) over the block's n leaves L. A closed
+    leaf's rel(L) is SW(L) (t^-1 - t): it adds one to the neck exponent."""
+    leaves = _block_leaves(desc)
+    neck = sum(m for _, m in leaves) - 2
+    parts = []
+    for leaf, m in leaves:
+        if leaf.op in ("knot_surgery", "blowup") or (
+                leaf.op == "E" and leaf.params == (1,)):
+            parts.append((_relative_value(leaf, budget, deltas), m))
+        else:
+            parts.append((from_manifold(leaf, node_budget=budget,
+                                        deltas=deltas), m))
+            neck += m
+    bases = {part.basis for part, _ in parts}    # glue's basis rule
+    basis = (bases.pop() if len(bases) == 1
+             else VarBasis(tuple(sorted(set().union(*bases)))))
+    num = _bracket_power(-1, neck).extended(basis)    # (t^-1 - t)^neck
+    den = LaurentPoly.one(basis)
+    for part, m in parts:
+        if not part.num.is_one():
+            num = num * part.num.extended(basis) ** m
+        if not part.den.is_one():
+            den = den * part.den.extended(basis) ** m
+    return SWInvariant(num, den, "closed",
+                       all(part.simple_type for part, _ in parts)).reduced()
 
 
 def from_manifold(desc: ManifoldDesc, *,
@@ -630,6 +680,9 @@ def from_manifold(desc: ManifoldDesc, *,
     nodes read and fill; the CLI passes its per-run table, and a call
     without one starts a fresh table, so each distinct knot runs the skein
     engine once per call.
+    Fiber sums built directly from fiber sums form one block, valued as
+    (t^-1 - t)^(n-2) times the relative values of its n leaves (non-fiber_sum
+    inputs, counted once per path), each distinct leaf evaluated once.
     """
     if deltas is None:
         deltas = {}
@@ -659,15 +712,12 @@ def from_manifold(desc: ManifoldDesc, *,
                              deltas=deltas)
         return blowup_formula(base, _added_exceptional_names(desc))
     if op == "fiber_sum":
-        a, b = desc.parents
-        return glue(_relative_value(a, node_budget, deltas),
-                    _relative_value(b, node_budget, deltas))
+        return _fiber_sum_block(desc, node_budget, deltas)
     if op == "knot_surgery":
-        label, diagram = desc.params
         base = from_manifold(desc.parents[0], node_budget=node_budget,
                              deltas=deltas)
         return knot_surgery_formula(
-            base, _delta(diagram, node_budget, deltas, alexander_skein))
+            base, _delta(desc.params[1], node_budget, deltas, alexander_skein))
     if op == "torus_surgery":
         label, p, q, r = desc.params
         if _has_prior_transform(desc, label):

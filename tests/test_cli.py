@@ -203,6 +203,18 @@ class TestOutputModes:
         assert "Traceback" not in out.stderr
 
 
+def test_deep_fiber_sum_ladder_exits_zero():
+    # 1000 fiber sums of E(2) build E(2002); the walker takes the ladder as
+    # one product, where gluing one sum at a time hit the recursion limit
+    lines = ["manifold m0 = E(2)"]
+    lines += [f"manifold m{i} = fiber_sum(m{i - 1}, m0)"
+              for i in range(1, 1001)]
+    lines += ["sw s = sw(m1000)", "print sw s"]
+    out = io.StringIO()
+    assert cli.run_script("\n".join(lines) + "\n", out=out) == 0
+    assert out.getvalue() == f"basis: t | SW: {sw_module.sw_elliptic(2002)}\n"
+
+
 def test_table_resolves_functions_at_call_time(monkeypatch):
     # a wrapper put in swcalc.cli after import (as bench/spans.py does)
     # must see the calls the op table makes

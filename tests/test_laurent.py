@@ -120,6 +120,24 @@ class TestArithmetic:
         assert p ** 0 == LaurentPoly.one(T)
         assert p ** 3 == p * p * p
 
+    def test_power_is_the_repeated_product(self):
+        p = tpoly((2, 3), (0, -1), (-1, 2))
+        product = LaurentPoly.one(T)
+        for n in range(10):
+            assert p ** n == product
+            product = product * p
+
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        calls = []
+        mul = LaurentPoly.__mul__
+        monkeypatch.setattr(LaurentPoly, "__mul__",
+                            lambda a, b: calls.append(1) or mul(a, b))
+        p = tpoly((1, 1), (-1, -1))
+        assert p ** 1 == p and calls == []
+        assert p ** 8 == mul(mul(mul(p, p), mul(p, p)),
+                             mul(mul(p, p), mul(p, p)))
+        assert len(calls) == 3
+
     def test_negative_power_of_monomial(self):
         m = LaurentPoly.monomial(T, {"t": 2})
         assert m ** -2 == LaurentPoly.monomial(T, {"t": -4})

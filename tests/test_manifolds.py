@@ -40,6 +40,17 @@ class TestCharInvariants:
         assert v.chi_h == Fraction(5 - 1, 4)
         assert isinstance(elliptic(3).invariants.chi_h, int)
 
+    def test_chi_h_is_the_fraction_or_its_int(self):
+        for euler in range(2, 40):
+            for sigma in range(2 - euler, euler - 1, 2):
+                want = Fraction(euler + sigma, 4)
+                got = CharInvariants(euler, sigma, 1).chi_h
+                assert got == want
+                assert isinstance(got, int) == (want.denominator == 1)
+        for euler, sigma in ((-3, 0), (-4, 0), (1, -6)):
+            got = CharInvariants(euler, sigma, 1, simply_connected=False)
+            assert got.chi_h == Fraction(euler + sigma, 4)
+
     def test_signature_bound(self):
         with pytest.raises(InvalidParameters):
             CharInvariants(euler=3, sigma=5, parity=1)

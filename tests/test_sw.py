@@ -11,8 +11,9 @@ from swcalc.manifolds import (CharInvariants, elliptic, horikawa, cp2,
                               fiber_sum, torus_surgery, knot_surgery,
                               rational_blowdown, reverse_orientation)
 from swcalc import sw as sw_module
-from swcalc.knots import (trefoil, twist_knot, figure_eight,
-                          alexander_skein, torus_knot)
+from swcalc.knots import (DEFAULT_NODE_BUDGET, trefoil, twist_knot,
+                          figure_eight, alexander_skein, torus_knot,
+                          load_knot_table)
 from swcalc.sw import (SWInvariant, T_BASIS, sw_elliptic,
                        relative_from_closed, e1_relative, t2d2_piece, glue,
                        blowup_formula, knot_surgery_formula, log_transform,
@@ -22,7 +23,7 @@ from swcalc.sw import (SWInvariant, T_BASIS, sw_elliptic,
                        count_basic_classes, sw_dimension, adjunction_check,
                        ConfigIntersections, standard_blowdown_rows, descend,
                        from_manifold)
-from swcalc.errors import (ChamberMismatch, InexactDivision,
+from swcalc.errors import (CalcError, ChamberMismatch, InexactDivision,
                            InvalidParameters, KindError,
                            MissingIntersectionData, NonIntegralDimension,
                            NotSymmetric, NotTaut, OutOfBand, RegimeError,
@@ -675,3 +676,147 @@ class TestWalker:
     def test_e1_alone_refused(self):
         with pytest.raises(RegimeError):
             from_manifold(elliptic(1))
+
+
+# ---- the fiber-sum block product against the pairwise fold ----
+
+def pairwise_walk(desc, budget, deltas):
+    """Frozen reference: the walker as it was when each fiber sum glued its
+    two sides' relative values, one gluing at a time (ops the trees below
+    do not use go to from_manifold)."""
+    op = desc.op
+    if op == "fiber_sum":
+        a, b = desc.parents
+        return glue(pairwise_relative(a, budget, deltas),
+                    pairwise_relative(b, budget, deltas))
+    if op == "blowup":
+        return blowup_formula(pairwise_walk(desc.parents[0], budget, deltas),
+                              sw_module._added_exceptional_names(desc))
+    if op == "knot_surgery":
+        base = pairwise_walk(desc.parents[0], budget, deltas)
+        return knot_surgery_formula(base, sw_module._delta(
+            desc.params[1], budget, deltas, alexander_skein))
+    if op == "torus_surgery":
+        if sw_module._has_prior_transform(desc, desc.params[0]):
+            raise UnsupportedForSW(
+                "two transforms on one torus do not compose variable-wise; "
+                "use double_log_transform for the two-parameter formula")
+        return log_transform(pairwise_walk(desc.parents[0], budget, deltas),
+                             desc.params[3])
+    return from_manifold(desc, node_budget=budget, deltas=deltas)
+
+
+def pairwise_relative(node, budget, deltas):
+    if node.op == "E" and node.params == (1,):
+        return e1_relative()
+    if node.op == "knot_surgery":
+        delta = sw_module._delta(node.params[1], budget, deltas,
+                                 alexander_skein)
+        return knot_surgery_formula(
+            pairwise_relative(node.parents[0], budget, deltas), delta)
+    if node.op == "blowup":
+        return blowup_formula(
+            pairwise_relative(node.parents[0], budget, deltas),
+            sw_module._added_exceptional_names(node))
+    return relative_from_closed(pairwise_walk(node, budget, deltas))
+
+
+SMALL_KNOTS = ("trefoil", "figure8", "square", "granny", "torus_2_5",
+               "twist2")
+
+
+@st.composite
+def build_trees(draw):
+    """A manifold grown by a few random steps from E(1..6) leaves: fiber
+    sums (a node may be summed with itself), table-knot surgeries, torus
+    surgeries, fiber-sum ladders, doublings, and at most two blowups."""
+    knots = load_knot_table()
+    pool = [elliptic(draw(st.integers(1, 6)))]
+    blowups = 0
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(2, 7))):
+        step = draw(st.sampled_from(("leaf", "sum", "sum", "sum", "knot",
+                                     "knot", "torus", "ladder", "double",
+                                     "blowup")))
+        if step == "leaf":
+            pool.append(elliptic(draw(st.integers(1, 6))))
+        elif step == "sum":
+            pool.append(fiber_sum(pick(), pick()))
+        elif step == "knot":
+            name = draw(st.sampled_from(SMALL_KNOTS))
+            pool.append(knot_surgery(pick(), "F", knots[name]))
+        elif step == "torus":
+            pool.append(torus_surgery(pick(), "F", 1, 0,
+                                      draw(st.integers(0, 4))))
+        elif step == "ladder":
+            x = pick()
+            for _ in range(draw(st.integers(1, 25))):
+                x = fiber_sum(x, elliptic(draw(st.integers(1, 3))))
+            pool.append(x)
+        elif step == "double":
+            x = pick()
+            for _ in range(draw(st.integers(1, 3))):
+                x = fiber_sum(x, x)
+            pool.append(x)
+        elif blowups < 2:
+            blowups += 1
+            pool.append(blowup(pick(), draw(st.integers(1, 2))))
+    return pool[-1]
+
+
+def block_walk(desc, budget, deltas):
+    return from_manifold(desc, node_budget=budget, deltas=deltas)
+
+
+def _outcome(walk, desc, budget):
+    try:
+        v = walk(desc, budget, {})
+    except CalcError as exc:
+        return type(exc), str(exc)
+    return (v.num, v.den, tuple(v.basis), v.kind, v.simple_type, str(v))
+
+
+class TestFiberSumBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(build_trees(), st.sampled_from((3, 40, DEFAULT_NODE_BUDGET)))
+    def test_block_product_matches_the_pairwise_fold(self, desc, budget):
+        assert (_outcome(block_walk, desc, budget)
+                == _outcome(pairwise_walk, desc, budget))
+
+    def test_refusals_match_the_pairwise_fold(self):
+        stacked = torus_surgery(torus_surgery(elliptic(2), "F", 1, 0, 2),
+                                "F", 0, 1, 3)
+        surgered = knot_surgery(elliptic(3), "F", trefoil())
+        # the first leaf to fail, left to right, sets the error
+        for desc, budget in ((fiber_sum(elliptic(2), stacked), 10 ** 6),
+                             (elliptic(1), 10 ** 6),
+                             (fiber_sum(fiber_sum(elliptic(1), surgered),
+                                        surgered), 3),
+                             (fiber_sum(stacked, surgered), 3),
+                             (fiber_sum(surgered, stacked), 3)):
+            got = _outcome(block_walk, desc, budget)
+            assert got == _outcome(pairwise_walk, desc, budget)
+            assert issubclass(got[0], CalcError)
+
+    def test_deep_doubling_walks_one_leaf(self, monkeypatch):
+        calls = []
+        walker = sw_module.from_manifold
+        monkeypatch.setattr(sw_module, "from_manifold",
+                            lambda d, **kw: calls.append(d) or walker(d, **kw))
+        x = elliptic(2)
+        for _ in range(10):
+            x = fiber_sum(x, x)
+        # 1024 copies of E(2) summed along fibers: E(2048)
+        assert sw_module.from_manifold(x).value() == sw_elliptic(2048).value()
+        assert len(calls) <= 2
+
+    def test_shared_leaf_counts_once_per_path(self):
+        k = knot_surgery(elliptic(2), "F", trefoil())
+        y = fiber_sum(k, elliptic(3))
+        x = fiber_sum(fiber_sum(y, k), fiber_sum(y, y))
+        assert sw_module._block_leaves(x) == [(k, 4), (elliptic(3), 3)]
+        assert from_manifold(x).value() == pairwise_walk(
+            x, DEFAULT_NODE_BUDGET, {}).value()
