@@ -739,14 +739,6 @@ def _exact_div_sparse(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._make(num.basis, quotient)
 
 
-def try_exact_div(num: LaurentPoly, den: LaurentPoly):
-    """exact_div, returning None instead of raising InexactDivision."""
-    try:
-        return exact_div(num, den)
-    except InexactDivision:
-        return None
-
-
 def is_symmetric(p: LaurentPoly, sign: int = 1,
                  variables: Optional[Sequence[str]] = None) -> bool:
     """Whether inverting the variables reproduces sign * p.

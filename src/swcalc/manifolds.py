@@ -126,6 +126,25 @@ class ManifoldDesc:
     invariants: CharInvariants
     labels: tuple = ()
 
+    _hash = None    # not a field: set by __hash__ at first use
+
+    def __hash__(self) -> int:
+        # the generated hash would recurse once per level of the tree, so
+        # hash the unhashed ancestors bottom-up, each node from its parents'
+        # cached hashes, and cache every result
+        stack = [self]
+        while self._hash is None:
+            node = stack[-1]
+            todo = [p for p in node.parents if p._hash is None]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            object.__setattr__(node, "_hash", hash((
+                node.op, node.params, tuple(p._hash for p in node.parents),
+                node.invariants, node.labels)))
+        return self._hash
+
     def label(self, name: str) -> SurfaceLabel:
         for key, lab in self.labels:
             if key == name:

@@ -601,20 +601,45 @@ def _delta(diagram, budget: int, deltas: dict, skein) -> LaurentPoly:
     return delta
 
 
-def _relative_value(node: ManifoldDesc, budget: int,
-                    deltas: dict) -> SWInvariant:
-    """Relative invariant of the fiber complement of node."""
-    if node.op == "E" and node.params == (1,):
-        return e1_relative()
-    if node.op == "knot_surgery":
-        delta = _delta(node.params[1], budget, deltas, alexander_skein)
-        return knot_surgery_formula(
-            _relative_value(node.parents[0], budget, deltas), delta)
-    if node.op == "blowup":
-        return blowup_formula(_relative_value(node.parents[0], budget, deltas),
-                              _added_exceptional_names(node))
-    return relative_from_closed(
-        from_manifold(node, node_budget=budget, deltas=deltas))
+def _chain_value(desc: ManifoldDesc, budget: int, deltas: dict,
+                 leaf: bool = False) -> SWInvariant:
+    """Walk desc's one-parent chain down to its base without recursion,
+    value the base with from_manifold, and apply each node's rule from the
+    base up. A fiber-sum leaf (leaf=True) that starts with knot surgeries
+    and blowups comes back relative: they act on the relative value of the
+    node below them, e1_relative() for E(1), else its closed value times
+    t^-1 - t (the None step, against which a log-transform spread
+    telescopes). Their Deltas are looked up on the way down."""
+    chain, node = [], desc
+    while True:
+        if leaf and node.op not in ("knot_surgery", "blowup"):
+            leaf = node.op == "E" and node.params == (1,)
+            if chain and not leaf:
+                chain.append(None)
+        if node.op not in ("knot_surgery", "blowup", "torus_surgery"):
+            break
+        if node.op == "torus_surgery" and _has_prior_transform(
+                node, node.params[0]):
+            raise UnsupportedForSW(
+                "two transforms on one torus do not compose variable-wise; "
+                "use double_log_transform for the two-parameter formula")
+        if leaf and node.op == "knot_surgery":
+            _delta(node.params[1], budget, deltas, alexander_skein)
+        chain.append(node)
+        node = node.parents[0]
+    sw = (e1_relative() if leaf
+          else from_manifold(node, node_budget=budget, deltas=deltas))
+    for node in reversed(chain):
+        if node is None:
+            sw = relative_from_closed(sw)
+        elif node.op == "knot_surgery":
+            sw = knot_surgery_formula(sw, _delta(node.params[1], budget,
+                                                 deltas, alexander_skein))
+        elif node.op == "blowup":
+            sw = blowup_formula(sw, _added_exceptional_names(node))
+        else:
+            sw = log_transform(sw, node.params[3])
+    return sw
 
 
 def _block_leaves(desc: ManifoldDesc) -> list:
@@ -643,29 +668,18 @@ def _fiber_sum_block(desc: ManifoldDesc, budget: int,
                      deltas: dict) -> SWInvariant:
     """(t^-1 - t)^(n-2) * prod rel(L) over the block's n leaves L. A closed
     leaf's rel(L) is SW(L) (t^-1 - t): it adds one to the neck exponent."""
-    leaves = _block_leaves(desc)
-    neck = sum(m for _, m in leaves) - 2
-    parts = []
-    for leaf, m in leaves:
-        if leaf.op in ("knot_surgery", "blowup") or (
-                leaf.op == "E" and leaf.params == (1,)):
-            parts.append((_relative_value(leaf, budget, deltas), m))
-        else:
-            parts.append((from_manifold(leaf, node_budget=budget,
-                                        deltas=deltas), m))
-            neck += m
+    parts = [(_chain_value(leaf, budget, deltas, leaf=True), m)
+             for leaf, m in _block_leaves(desc)]
+    neck = sum(m if part.kind == "relative" else 2 * m
+               for part, m in parts) - 2
     bases = {part.basis for part, _ in parts}    # glue's basis rule
     basis = (bases.pop() if len(bases) == 1
              else VarBasis(tuple(sorted(set().union(*bases)))))
     num = _bracket_power(-1, neck).extended(basis)    # (t^-1 - t)^neck
-    den = LaurentPoly.one(basis)
-    for part, m in parts:
+    for part, m in parts:    # value() is num: walker values have den 1
         if not part.num.is_one():
-            num = num * part.num.extended(basis) ** m
-        if not part.den.is_one():
-            den = den * part.den.extended(basis) ** m
-    return SWInvariant(num, den, "closed",
-                       all(part.simple_type for part, _ in parts)).reduced()
+            num = num * part.value().extended(basis) ** m
+    return SWInvariant.closed(num, all(part.simple_type for part, _ in parts))
 
 
 def from_manifold(desc: ManifoldDesc, *,
@@ -680,9 +694,10 @@ def from_manifold(desc: ManifoldDesc, *,
     nodes read and fill; the CLI passes its per-run table, and a call
     without one starts a fresh table, so each distinct knot runs the skein
     engine once per call.
-    Fiber sums built directly from fiber sums form one block, valued as
+    Chains of one-parent operations are walked without recursion. Fiber
+    sums built directly from fiber sums form one block, valued as
     (t^-1 - t)^(n-2) times the relative values of its n leaves (non-fiber_sum
-    inputs, counted once per path), each distinct leaf evaluated once.
+    inputs, counted once per path), each distinct leaf walked once.
     """
     if deltas is None:
         deltas = {}
@@ -707,26 +722,10 @@ def from_manifold(desc: ManifoldDesc, *,
         raise UnsupportedForSW(
             "connected sums with a definite summand are blowups; build them "
             "with the blowup operation")
-    if op == "blowup":
-        base = from_manifold(desc.parents[0], node_budget=node_budget,
-                             deltas=deltas)
-        return blowup_formula(base, _added_exceptional_names(desc))
     if op == "fiber_sum":
         return _fiber_sum_block(desc, node_budget, deltas)
-    if op == "knot_surgery":
-        base = from_manifold(desc.parents[0], node_budget=node_budget,
-                             deltas=deltas)
-        return knot_surgery_formula(
-            base, _delta(desc.params[1], node_budget, deltas, alexander_skein))
-    if op == "torus_surgery":
-        label, p, q, r = desc.params
-        if _has_prior_transform(desc, label):
-            raise UnsupportedForSW(
-                "two transforms on one torus do not compose variable-wise; "
-                "use double_log_transform for the two-parameter formula")
-        base = from_manifold(desc.parents[0], node_budget=node_budget,
-                             deltas=deltas)
-        return log_transform(base, r)
+    if op in ("knot_surgery", "blowup", "torus_surgery"):
+        return _chain_value(desc, node_budget, deltas)
     if op == "rational_blowdown":
         raise UnsupportedForSW(
             "rational blowdown values need the configuration's intersection "

@@ -190,17 +190,31 @@ class TestOutputModes:
         assert out.stderr.startswith("error (line 3, col 1):")
         assert "Traceback" not in out.stderr
 
-    def test_internal_error_exits_two_without_traceback(self):
-        # a 1200-deep blowup chain overflows the recursive walker; the
-        # defect must still honour the exit contract (1 is for asserts)
+    def test_deep_blowup_chain_hits_the_term_bound(self):
+        # the walker takes a 1200-deep blowup chain without recursion, so
+        # the blowup formula's term bound is what refuses it
         lines = ["manifold m0 = E(2)"]
         lines += [f"manifold m{i} = blowup(m{i - 1}, 1)"
                   for i in range(1, 1200)]
         lines.append("sw s = sw(m1199)")
         out = run_cli(["-"], stdin="\n".join(lines) + "\n")
         assert out.returncode == 2
-        assert out.stderr.startswith("error")
+        assert out.stderr.startswith(
+            "error (line 1201, col 1): blowup formula would produce")
         assert "Traceback" not in out.stderr
+
+    def test_internal_error_exits_two_without_traceback(self, monkeypatch,
+                                                        capsys):
+        # a defect that is not a CalcError must still honour the exit
+        # contract (1 is for asserts)
+        def broken(*args, **kwargs):
+            raise RuntimeError("planted defect")
+        monkeypatch.setattr(cli, "from_manifold", broken)
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO("manifold X = E(2)\nsw s = sw(X)\n"))
+        assert cli.main(["-"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: internal error: RuntimeError: planted defect\n"
 
 
 def test_deep_fiber_sum_ladder_exits_zero():
@@ -213,6 +227,18 @@ def test_deep_fiber_sum_ladder_exits_zero():
     out = io.StringIO()
     assert cli.run_script("\n".join(lines) + "\n", out=out) == 0
     assert out.getvalue() == f"basis: t | SW: {sw_module.sw_elliptic(2002)}\n"
+
+
+def test_deep_knot_surgery_chain_exits_zero():
+    # 1000 knot surgeries along a knot with Delta = 1 leave SW(E(3)); the
+    # walker takes the chain without recursion
+    lines = ["manifold m0 = E(3)", "knot K = braid: 1 -2"]
+    lines += [f"manifold m{i} = knot_surgery(m{i - 1}, F, K)"
+              for i in range(1, 1001)]
+    lines += ["sw s = sw(m1000)", "print sw s"]
+    out = run_cli(["-"], stdin="\n".join(lines) + "\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "basis: t | SW: t - t^-1\n"
 
 
 def test_table_resolves_functions_at_call_time(monkeypatch):

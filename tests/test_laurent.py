@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from swcalc.laurent import (LaurentPoly, VarBasis, _exact_div_dense,
                             _exact_div_sparse, exact_div, is_symmetric,
-                            parse_poly, try_exact_div)
+                            parse_poly)
 from swcalc.errors import (BasisMismatch, CalcError, DivisionByZero,
                            InexactDivision, InvalidParameters, ParseError,
                            UnknownVariable)
@@ -327,10 +327,6 @@ class TestDivision:
         # 1 / (t - t^-1) has no Laurent polynomial quotient
         with pytest.raises(InexactDivision):
             exact_div(LaurentPoly.one(T), tpoly((1, 1), (-1, -1)))
-
-    def test_try_exact_div(self):
-        assert try_exact_div(LaurentPoly.one(T), tpoly((1, 1), (-1, -1))) is None
-        assert try_exact_div(tpoly((2, 1)), tpoly((1, 1))) == tpoly((1, 1))
 
     def test_sinh_quotient(self):
         num = tpoly((6, 1), (-6, -1))

@@ -360,3 +360,43 @@ class TestDescTree:
         assert hash(a) == hash(elliptic(2))
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.op = "other"
+
+    def test_hash_is_computed_at_first_use(self):
+        x = knot_surgery(fiber_sum(elliptic(2), elliptic(3)), "F", trefoil())
+        assert x._hash is None and x.parents[0]._hash is None
+        h = hash(x)
+        assert x._hash == h and x.parents[0]._hash is not None
+        assert hash(x) == h
+
+    def test_deep_trees_hash_without_recursion(self):
+        def ladder(n):
+            x = elliptic(2)
+            for _ in range(n):
+                x = fiber_sum(x, elliptic(3))
+            return x
+
+        def chain(n):
+            x = elliptic(3)
+            for i in range(n):
+                x = (blowup(x) if i % 250 == 0
+                     else knot_surgery(x, "F", trefoil()))
+            return x
+
+        def doubling(n):
+            x = elliptic(2)
+            for _ in range(n):
+                x = fiber_sum(x, x)
+            return x
+
+        for build in (ladder, chain, doubling):
+            n = 60 if build is doubling else 1000
+            # equal trees built twice hash equal; every node gets a hash
+            assert hash(build(n)) == hash(build(n))
+            assert hash(build(n)) != hash(build(n - 1))
+
+    def test_shared_and_copied_nodes_hash_equal(self):
+        x = knot_surgery(elliptic(2), "F", trefoil())
+        y = knot_surgery(elliptic(2), "F", trefoil())
+        assert fiber_sum(x, x) == fiber_sum(x, y)
+        assert hash(fiber_sum(x, x)) == hash(fiber_sum(x, y))
+        assert len({fiber_sum(x, x), fiber_sum(y, x), fiber_sum(x, y)}) == 1

@@ -12,8 +12,8 @@ from swcalc.manifolds import (CharInvariants, elliptic, horikawa, cp2,
                               rational_blowdown, reverse_orientation)
 from swcalc import sw as sw_module
 from swcalc.knots import (DEFAULT_NODE_BUDGET, trefoil, twist_knot,
-                          figure_eight, alexander_skein, torus_knot,
-                          load_knot_table)
+                          figure_eight, alexander_skein, braid_closure,
+                          torus_knot, load_knot_table)
 from swcalc.sw import (SWInvariant, T_BASIS, sw_elliptic,
                        relative_from_closed, e1_relative, t2d2_piece, glue,
                        blowup_formula, knot_surgery_formula, log_transform,
@@ -729,7 +729,9 @@ SMALL_KNOTS = ("trefoil", "figure8", "square", "granny", "torus_2_5",
 def build_trees(draw):
     """A manifold grown by a few random steps from E(1..6) leaves: fiber
     sums (a node may be summed with itself), table-knot surgeries, torus
-    surgeries, fiber-sum ladders, doublings, and at most two blowups."""
+    surgeries, fiber-sum ladders, doublings, chains of up to 40 knot
+    surgeries mixed with blowups (some over a fresh E(1)), and at most two
+    blowups in all."""
     knots = load_knot_table()
     pool = [elliptic(draw(st.integers(1, 6)))]
     blowups = 0
@@ -740,7 +742,7 @@ def build_trees(draw):
     for _ in range(draw(st.integers(2, 7))):
         step = draw(st.sampled_from(("leaf", "sum", "sum", "sum", "knot",
                                      "knot", "torus", "ladder", "double",
-                                     "blowup")))
+                                     "chain", "blowup")))
         if step == "leaf":
             pool.append(elliptic(draw(st.integers(1, 6))))
         elif step == "sum":
@@ -760,6 +762,16 @@ def build_trees(draw):
             x = pick()
             for _ in range(draw(st.integers(1, 3))):
                 x = fiber_sum(x, x)
+            pool.append(x)
+        elif step == "chain":
+            x = elliptic(1) if draw(st.booleans()) else pick()
+            for _ in range(draw(st.integers(1, 40))):
+                if blowups < 2 and draw(st.integers(0, 5)) == 0:
+                    blowups += 1
+                    x = blowup(x, 1)
+                else:
+                    name = draw(st.sampled_from(SMALL_KNOTS))
+                    x = knot_surgery(x, "F", knots[name])
             pool.append(x)
         elif blowups < 2:
             blowups += 1
@@ -820,3 +832,57 @@ class TestFiberSumBlocks:
         assert sw_module._block_leaves(x) == [(k, 4), (elliptic(3), 3)]
         assert from_manifold(x).value() == pairwise_walk(
             x, DEFAULT_NODE_BUDGET, {}).value()
+
+
+class TestChainWalk:
+    def test_deep_chain_takes_two_walker_calls(self, monkeypatch):
+        calls, skein_calls = [], []
+        walker, skein = sw_module.from_manifold, sw_module.alexander_skein
+        monkeypatch.setattr(sw_module, "from_manifold",
+                            lambda d, **kw: calls.append(d) or walker(d, **kw))
+        monkeypatch.setattr(sw_module, "alexander_skein",
+                            lambda *a, **kw: skein_calls.append(a)
+                            or skein(*a, **kw))
+        x = elliptic(3)
+        for _ in range(1000):
+            x = knot_surgery(x, "F", braid_closure([1, -2], 3))
+        # Delta = 1 at every node: the value stays SW(E(3))
+        assert sw_module.from_manifold(x).value() == sw_elliptic(3).value()
+        assert calls == [x, elliptic(3)]
+        assert len(skein_calls) == 1
+
+    def test_deep_chain_over_e1_in_a_fiber_sum(self):
+        knot = braid_closure([1, -2], 3)
+        x = elliptic(1)
+        for _ in range(1000):
+            x = knot_surgery(x, "F", knot)
+        one_step = fiber_sum(knot_surgery(elliptic(1), "F", knot),
+                             elliptic(2))
+        got = from_manifold(fiber_sum(x, elliptic(2)))
+        assert str(got) == str(from_manifold(one_step))
+        assert str(got) == str(pairwise_walk(one_step, DEFAULT_NODE_BUDGET,
+                                             {}))
+        assert got.value() == sw_elliptic(3).value()
+
+    def test_leaf_looks_delta_up_before_its_base(self):
+        # a leaf's failing Delta is raised before the stacked transforms
+        # below it; in a closed chain the base comes first
+        stacked = torus_surgery(torus_surgery(elliptic(2), "F", 1, 0, 2),
+                                "F", 0, 1, 3)
+        surgered = knot_surgery(stacked, "F", torus_knot(3, 5))
+        with pytest.raises(ResourceLimit):
+            from_manifold(fiber_sum(surgered, elliptic(2)), node_budget=3)
+        with pytest.raises(UnsupportedForSW):
+            from_manifold(surgered, node_budget=3)
+
+    def test_leaf_blowups_act_on_the_relative_value(self, monkeypatch):
+        # t^-1 - t telescopes a log-transform spread, so a leaf's relative
+        # value can have fewer terms than its closed value, or more; the
+        # blowup term bound sees the relative value, as the pairwise fold did
+        monkeypatch.setattr(sw_module, "MAX_BLOWUP_TERMS", 1 << 6)
+        spread = torus_surgery(elliptic(2), "F", 1, 0, 3)
+        for base, refused in ((spread, False), (elliptic(3), True)):
+            desc = fiber_sum(blowup(base, 5), elliptic(2))
+            got = _outcome(block_walk, desc, DEFAULT_NODE_BUDGET)
+            assert got == _outcome(pairwise_walk, desc, DEFAULT_NODE_BUDGET)
+            assert (got[0] is ResourceLimit) == refused
