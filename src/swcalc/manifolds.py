@@ -145,6 +145,27 @@ class ManifoldDesc:
                 node.invariants, node.labels)))
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        # the generated == would recurse once per level of the tree, so
+        # compare pairs of nodes from a stack, each pair once; equal cached
+        # hashes are needed, and a shared node equals itself
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if (a._hash is not None and b._hash is not None
+                    and a._hash != b._hash):
+                return False
+            if (a.op, a.params, a.invariants, a.labels, len(a.parents)) != (
+                    b.op, b.params, b.invariants, b.labels, len(b.parents)):
+                return False
+            stack.extend(zip(a.parents, b.parents))
+        return True
+
     def label(self, name: str) -> SurfaceLabel:
         for key, lab in self.labels:
             if key == name:

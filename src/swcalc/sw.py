@@ -6,7 +6,9 @@ A closed invariant is a Laurent polynomial: each monomial is a basic class
 variables), the coefficient its value. Relative invariants of fiber-sum
 pieces are stored as exact numerator/denominator pairs; gluing multiplies
 the pairs and reduces by exact division, so a wrong gluing surfaces as a
-division error instead of a silently wrong polynomial.
+division error instead of a silently wrong polynomial. The walker over
+build trees (from_manifold) keeps each value as a polynomial in t times one
+in the exceptional classes, and expands the product once.
 
 Regime notes: closed invariants here live at b+ > 1 with simple type.
 b+ = 1 needs a chamber; the only b+ = 1 data shipped are the truncated
@@ -74,8 +76,9 @@ MAX_BLOWUP_TERMS = 1 << 18
 
 
 def _t_poly(pairs) -> LaurentPoly:
-    """Laurent polynomial in t from (exponent, coefficient) pairs."""
-    return LaurentPoly.from_terms(T_BASIS, [({"t": e}, c) for e, c in pairs])
+    """Laurent polynomial in t from (exponent, coefficient) pairs with
+    distinct integer exponents, as every caller passes."""
+    return LaurentPoly._make(T_BASIS, {(2 * e,): c for e, c in pairs})
 
 
 _NECK = _t_poly([(-1, 1), (1, -1)])  # t^-1 - t, the fiber complement's neck
@@ -226,28 +229,34 @@ def glue(a: SWInvariant, b: SWInvariant,
 
 
 def blowup_formula(sw: SWInvariant, names: Sequence[str]) -> SWInvariant:
-    """Multiply by prod (e_i + e_i^-1) over fresh exceptional variables."""
-    if not sw.simple_type:
+    """Multiply by prod (e_i + e_i^-1) over fresh exceptional variables.
+    On a walker pair (sw, classes) it multiplies classes and checks both."""
+    split = not isinstance(sw, SWInvariant)
+    part, classes = sw if split else (sw, _NO_CLASSES)
+    if not part.simple_type:
         raise SimpleTypeRequired("the blowup formula needs simple type")
     if not names:
         raise InvalidParameters("blowup formula needs at least one new class")
     if len(set(names)) != len(names):
         raise InvalidParameters("exceptional class names must be distinct")
     for name in names:
-        if name in sw.basis:
+        if name in part.basis or name in classes.basis:
             raise InvalidParameters(
                 f"exceptional class {name!r} already tracked")
-    terms = len(sw.num) << len(names)
+    terms = len(part.num) * len(classes) << len(names)
     if terms > MAX_BLOWUP_TERMS:
         raise ResourceLimit(
             f"blowup formula would produce {terms} terms "
             f"(limit {MAX_BLOWUP_TERMS})")
-    basis = VarBasis(tuple(sorted(set(sw.basis) | set(names))))
-    out = sw.extended(basis)
+    basis = VarBasis(tuple(sorted(set(classes.basis) | set(names))))
+    factor = classes.extended(basis)
     for name in names:
         v = LaurentPoly.variable(basis, name)
-        out = out.scaled(v + v.invert_variables([name]))
-    return out
+        factor = factor * (v + v.invert_variables([name]))
+    if split:
+        return part, factor
+    basis = VarBasis(tuple(sorted(set(part.basis) | set(names))))
+    return part.extended(basis).scaled(factor.extended(basis))
 
 
 def knot_surgery_formula(sw: SWInvariant, delta: LaurentPoly) -> SWInvariant:
@@ -601,15 +610,33 @@ def _delta(diagram, budget: int, deltas: dict, skein) -> LaurentPoly:
     return delta
 
 
+# The walker keeps each value as a pair (sw, classes): sw over T_BASIS, and
+# classes in the exceptional classes alone (this 1 before any blowup). The t
+# rules act on sw, the blowup rule on classes; _expanded multiplies them.
+_NO_CLASSES = LaurentPoly.one(())
+
+
+def _expanded(part: SWInvariant, classes: LaurentPoly) -> SWInvariant:
+    """part * classes over sorted({"t"} | classes' names), glue's basis. The
+    variables are disjoint, so each product of two terms is its own term:
+    the class key with the t exponent spliced in."""
+    basis = VarBasis(tuple(sorted(T_BASIS + classes.basis)))
+    i = basis.index("t")
+    terms = {key[:i] + t + key[i:]: a * b
+             for t, a in part.num._terms.items()
+             for key, b in classes._terms.items()}
+    return SWInvariant(LaurentPoly._make(basis, terms),
+                       part.den.extended(basis), part.kind, part.simple_type)
+
+
 def _chain_value(desc: ManifoldDesc, budget: int, deltas: dict,
-                 leaf: bool = False) -> SWInvariant:
-    """Walk desc's one-parent chain down to its base without recursion,
-    value the base with from_manifold, and apply each node's rule from the
-    base up. A fiber-sum leaf (leaf=True) that starts with knot surgeries
-    and blowups comes back relative: they act on the relative value of the
-    node below them, e1_relative() for E(1), else its closed value times
-    t^-1 - t (the None step, against which a log-transform spread
-    telescopes). Their Deltas are looked up on the way down."""
+                 leaf: bool = False) -> tuple:
+    """Walk desc's one-parent chain to its base without recursion, value the
+    base (a fiber-sum block directly, else by from_manifold) and apply the
+    rules from the base up. In a fiber-sum leaf (leaf=True), top knot
+    surgeries and blowups act on e1_relative() for E(1), else on the closed
+    value below times t^-1 - t (the None step, which telescopes a
+    log-transform spread); their Deltas are looked up on the way down."""
     chain, node = [], desc
     while True:
         if leaf and node.op not in ("knot_surgery", "blowup"):
@@ -627,8 +654,11 @@ def _chain_value(desc: ManifoldDesc, budget: int, deltas: dict,
             _delta(node.params[1], budget, deltas, alexander_skein)
         chain.append(node)
         node = node.parents[0]
-    sw = (e1_relative() if leaf
-          else from_manifold(node, node_budget=budget, deltas=deltas))
+    if node.op == "fiber_sum":
+        sw, classes = _fiber_sum_block(node, budget, deltas)
+    else:
+        sw, classes = (e1_relative() if leaf else from_manifold(
+            node, node_budget=budget, deltas=deltas)), _NO_CLASSES
     for node in reversed(chain):
         if node is None:
             sw = relative_from_closed(sw)
@@ -636,10 +666,11 @@ def _chain_value(desc: ManifoldDesc, budget: int, deltas: dict,
             sw = knot_surgery_formula(sw, _delta(node.params[1], budget,
                                                  deltas, alexander_skein))
         elif node.op == "blowup":
-            sw = blowup_formula(sw, _added_exceptional_names(node))
+            sw, classes = blowup_formula((sw, classes),
+                                         _added_exceptional_names(node))
         else:
             sw = log_transform(sw, node.params[3])
-    return sw
+    return sw, classes
 
 
 def _block_leaves(desc: ManifoldDesc) -> list:
@@ -665,21 +696,25 @@ def _block_leaves(desc: ManifoldDesc) -> list:
 
 
 def _fiber_sum_block(desc: ManifoldDesc, budget: int,
-                     deltas: dict) -> SWInvariant:
+                     deltas: dict) -> tuple:
     """(t^-1 - t)^(n-2) * prod rel(L) over the block's n leaves L. A closed
-    leaf's rel(L) is SW(L) (t^-1 - t): it adds one to the neck exponent."""
+    leaf's rel(L) is SW(L) (t^-1 - t): it adds one to the neck exponent.
+    The leaves' class factors multiply over the union of their names."""
     parts = [(_chain_value(leaf, budget, deltas, leaf=True), m)
              for leaf, m in _block_leaves(desc)]
     neck = sum(m if part.kind == "relative" else 2 * m
-               for part, m in parts) - 2
-    bases = {part.basis for part, _ in parts}    # glue's basis rule
-    basis = (bases.pop() if len(bases) == 1
-             else VarBasis(tuple(sorted(set().union(*bases)))))
-    num = _bracket_power(-1, neck).extended(basis)    # (t^-1 - t)^neck
-    for part, m in parts:    # value() is num: walker values have den 1
+               for (part, _), m in parts) - 2
+    basis = VarBasis(tuple(sorted(set().union(    # glue's basis rule
+        *(factor.basis for (_, factor), _ in parts)))))
+    num = _bracket_power(-1, neck)    # (t^-1 - t)^neck
+    classes = LaurentPoly.one(basis)
+    for (part, factor), m in parts:    # value() is num: dens are 1 here
         if not part.num.is_one():
-            num = num * part.value().extended(basis) ** m
-    return SWInvariant.closed(num, all(part.simple_type for part, _ in parts))
+            num = num * part.value() ** m
+        if factor.basis:
+            classes = classes * factor.extended(basis) ** m
+    return SWInvariant.closed(
+        num, all(part.simple_type for (part, _), _ in parts)), classes
 
 
 def from_manifold(desc: ManifoldDesc, *,
@@ -697,7 +732,9 @@ def from_manifold(desc: ManifoldDesc, *,
     Chains of one-parent operations are walked without recursion. Fiber
     sums built directly from fiber sums form one block, valued as
     (t^-1 - t)^(n-2) times the relative values of its n leaves (non-fiber_sum
-    inputs, counted once per path), each distinct leaf walked once.
+    inputs, counted once per path), each distinct leaf walked once. Values
+    are kept as a t part times a factor in the exceptional classes, and
+    multiplied out once, at the return.
     """
     if deltas is None:
         deltas = {}
@@ -722,10 +759,8 @@ def from_manifold(desc: ManifoldDesc, *,
         raise UnsupportedForSW(
             "connected sums with a definite summand are blowups; build them "
             "with the blowup operation")
-    if op == "fiber_sum":
-        return _fiber_sum_block(desc, node_budget, deltas)
-    if op in ("knot_surgery", "blowup", "torus_surgery"):
-        return _chain_value(desc, node_budget, deltas)
+    if op in ("fiber_sum", "knot_surgery", "blowup", "torus_surgery"):
+        return _expanded(*_chain_value(desc, node_budget, deltas))
     if op == "rational_blowdown":
         raise UnsupportedForSW(
             "rational blowdown values need the configuration's intersection "

@@ -10,7 +10,7 @@ from swcalc.manifolds import (CharInvariants, SurfaceLabel, ManifoldDesc,
                               torus_surgery, knot_surgery, rational_blowdown,
                               reverse_orientation, branched_cover_pair,
                               homeo_equal)
-from swcalc.knots import trefoil, hopf_link
+from swcalc.knots import figure_eight, trefoil, hopf_link
 from swcalc.errors import (InvalidParameters, LabelMismatch, NotAKnot,
                            NonIntegralResult, NotSimplyConnected,
                            UnknownLabel)
@@ -400,3 +400,30 @@ class TestDescTree:
         assert fiber_sum(x, x) == fiber_sum(x, y)
         assert hash(fiber_sum(x, x)) == hash(fiber_sum(x, y))
         assert len({fiber_sum(x, x), fiber_sum(y, x), fiber_sum(x, y)}) == 1
+
+    def test_deep_trees_compare_without_recursion(self):
+        def ladder(bottom, n=1000):
+            x = knot_surgery(elliptic(2), "F", bottom)
+            for _ in range(n):
+                x = fiber_sum(x, elliptic(3))
+            return x
+
+        def doubling(n):
+            x = elliptic(2)
+            for _ in range(n):
+                x = fiber_sum(x, x)
+            return x
+
+        assert ladder(trefoil()) == ladder(trefoil())
+        # the walk reaches the one differing node, and cached hashes then
+        # reject the same pair at the top
+        a, b = ladder(trefoil()), ladder(figure_eight())
+        assert a != b and b != a
+        hash(a), hash(b)
+        assert a != b
+        # each pair of shared nodes is compared once, not once per path
+        assert doubling(60) == doubling(60)
+        assert doubling(60) != doubling(59)
+        table = {ladder(trefoil()): "found"}
+        assert table[ladder(trefoil())] == "found"
+        assert ladder(figure_eight()) not in table

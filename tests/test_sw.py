@@ -725,57 +725,80 @@ SMALL_KNOTS = ("trefoil", "figure8", "square", "granny", "torus_2_5",
                "twist2")
 
 
+# a node's class degree is its exceptional classes counted once per path
+# to their blowup, so a doubling doubles it; the walker's class factor for
+# the node has at most 2^degree terms, so this cap keeps every tree cheap
+MAX_CLASS_DEGREE = 6
+
+
 @st.composite
 def build_trees(draw):
     """A manifold grown by a few random steps from E(1..6) leaves: fiber
     sums (a node may be summed with itself), table-knot surgeries, torus
     surgeries, fiber-sum ladders, doublings, chains of up to 40 knot
-    surgeries mixed with blowups (some over a fresh E(1)), and at most two
-    blowups in all."""
+    surgeries mixed with blowups (some over a fresh E(1)), and blowups on
+    their own, on both sides of one fiber sum and above a fiber sum whose
+    leaf blew up, so the fold checks class factors and collapsed names. A
+    step whose node would pass MAX_CLASS_DEGREE adds nothing."""
     knots = load_knot_table()
-    pool = [elliptic(draw(st.integers(1, 6)))]
-    blowups = 0
+    pool, degree = [elliptic(draw(st.integers(1, 6)))], [0]
 
     def pick():
-        return pool[draw(st.integers(0, len(pool) - 1))]
+        i = draw(st.integers(0, len(pool) - 1))
+        return pool[i], degree[i]
+
+    def add(node, k):
+        if k <= MAX_CLASS_DEGREE:
+            pool.append(node)
+            degree.append(k)
+
+    def blown(x, k):
+        more = draw(st.integers(1, 2))
+        return blowup(x, more), k + more
 
     for _ in range(draw(st.integers(2, 7))):
         step = draw(st.sampled_from(("leaf", "sum", "sum", "sum", "knot",
                                      "knot", "torus", "ladder", "double",
-                                     "chain", "blowup")))
+                                     "chain", "blowup", "both", "above")))
         if step == "leaf":
-            pool.append(elliptic(draw(st.integers(1, 6))))
+            add(elliptic(draw(st.integers(1, 6))), 0)
         elif step == "sum":
-            pool.append(fiber_sum(pick(), pick()))
+            (a, ka), (b, kb) = pick(), pick()
+            add(fiber_sum(a, b), ka + kb)
         elif step == "knot":
             name = draw(st.sampled_from(SMALL_KNOTS))
-            pool.append(knot_surgery(pick(), "F", knots[name]))
+            x, k = pick()
+            add(knot_surgery(x, "F", knots[name]), k)
         elif step == "torus":
-            pool.append(torus_surgery(pick(), "F", 1, 0,
-                                      draw(st.integers(0, 4))))
+            x, k = pick()
+            add(torus_surgery(x, "F", 1, 0, draw(st.integers(0, 4))), k)
         elif step == "ladder":
-            x = pick()
+            x, k = pick()
             for _ in range(draw(st.integers(1, 25))):
                 x = fiber_sum(x, elliptic(draw(st.integers(1, 3))))
-            pool.append(x)
+            add(x, k)
         elif step == "double":
-            x = pick()
+            x, k = pick()
             for _ in range(draw(st.integers(1, 3))):
-                x = fiber_sum(x, x)
-            pool.append(x)
+                x, k = fiber_sum(x, x), 2 * k
+            add(x, k)
         elif step == "chain":
-            x = elliptic(1) if draw(st.booleans()) else pick()
+            x, k = (elliptic(1), 0) if draw(st.booleans()) else pick()
             for _ in range(draw(st.integers(1, 40))):
-                if blowups < 2 and draw(st.integers(0, 5)) == 0:
-                    blowups += 1
-                    x = blowup(x, 1)
+                if draw(st.integers(0, 5)) == 0:
+                    x, k = blowup(x, 1), k + 1
                 else:
                     name = draw(st.sampled_from(SMALL_KNOTS))
                     x = knot_surgery(x, "F", knots[name])
-            pool.append(x)
-        elif blowups < 2:
-            blowups += 1
-            pool.append(blowup(pick(), draw(st.integers(1, 2))))
+            add(x, k)
+        elif step == "both":
+            (a, ka), (b, kb) = blown(*pick()), blown(*pick())
+            add(fiber_sum(a, b), ka + kb)
+        elif step == "above":
+            (a, ka), (b, kb) = blown(*pick()), pick()
+            add(*blown(fiber_sum(a, b), ka + kb))
+        else:
+            add(*blown(*pick()))
     return pool[-1]
 
 
@@ -886,3 +909,33 @@ class TestChainWalk:
             got = _outcome(block_walk, desc, DEFAULT_NODE_BUDGET)
             assert got == _outcome(pairwise_walk, desc, DEFAULT_NODE_BUDGET)
             assert (got[0] is ResourceLimit) == refused
+
+
+class TestClassFactor:
+    def test_term_bound_matches_the_pairwise_fold(self, monkeypatch):
+        # the bound counts sw terms times class terms, so it trips at the
+        # same blowup, with the same count, as on the multiplied-out value;
+        # a blowup above the block collides with the leaves' E1 first
+        monkeypatch.setattr(sw_module, "MAX_BLOWUP_TERMS", 64)
+        seen = set()
+        for n in range(2, 9):
+            left = blowup(knot_surgery(blowup(elliptic(n), 1), "F",
+                                       trefoil()), 2)
+            block = fiber_sum(left, blowup(elliptic(2), 1))
+            for desc in (block, blowup(block, 1)):
+                got = _outcome(block_walk, desc, DEFAULT_NODE_BUDGET)
+                assert got == _outcome(pairwise_walk, desc,
+                                       DEFAULT_NODE_BUDGET)
+                seen.add(got[0] if isinstance(got[0], type) else "value")
+        assert seen == {"value", ResourceLimit, InvalidParameters}
+
+    def test_ten_classes_keep_the_sorted_basis(self):
+        names = [f"E{i}" for i in range(1, 11)]
+        expect = blowup_formula(sw_elliptic(3), names)
+        for desc in (blowup(elliptic(3), 10),
+                     fiber_sum(blowup(elliptic(3), 10), elliptic(2))):
+            got = from_manifold(desc)
+            assert tuple(got.basis) == ("E1", "E10") + tuple(
+                f"E{i}" for i in range(2, 10)) + ("t",)
+            assert got.basis == expect.basis
+        assert str(from_manifold(blowup(elliptic(3), 10))) == str(expect)
